@@ -2,10 +2,9 @@
 
 from .coloring import (
     Coloring,
-    PartialAssignment,
     chromatic_number,
     colorful_vertices,
-    count_extensions,
+    count_colorings_extending,
     enumerate_optimal_colorings,
     is_uniquely_colorable,
 )
@@ -16,11 +15,8 @@ from .critical import (
     four_params,
     four_params_k,
     is_critical,
-    is_critically_uniform,
     is_determining,
     scs_lcs_for_coloring,
-    verify_converse_prop1,
-    verify_prop1,
 )
 from .errors import (
     CritsetsError,

@@ -253,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-vertices", type=int, default=20,
                         help="exact-search vertex cap (default 20)")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--cap-extensions", type=int, default=2,
-                        help="extension-count truncation (default 2)")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_sudoku)
     q = action.add_parser("certify", help="fair/unfair check for a puzzle file")
     q.add_argument("file")
+    q.add_argument("--cap-extensions", type=int, default=2,
+                   help="extension-count truncation (default 2)")
     q.set_defaults(func=cmd_sudoku)
 
     p = sub.add_parser("reduce", help="build a hardness gadget instance")

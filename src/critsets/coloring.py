@@ -33,32 +33,6 @@ class Coloring:
         return all(self.colors[u] != self.colors[v] for u, v in g.edges())
 
 
-@dataclass
-class PartialAssignment:
-    """Colors on a vertex subset only, against a palette of size k."""
-
-    k: int
-    colors: dict[int, int]
-
-    @property
-    def support(self) -> VertexSet:
-        m = 0
-        for v in self.colors:
-            m |= 1 << v
-        return m
-
-    @classmethod
-    def restrict(cls, coloring: Coloring, subset: VertexSet) -> "PartialAssignment":
-        return cls(coloring.k, {v: coloring.colors[v] for v in bits(subset)})
-
-    def is_proper_on_support(self, g: Graph) -> bool:
-        for v, c in self.colors.items():
-            for w in g.neighbors(v):
-                if self.colors.get(w) == c:
-                    return False
-        return True
-
-
 def _neighbor_lists(g: Graph) -> list[list[int]]:
     return [g.neighbors(v) for v in range(g.n)]
 
@@ -124,11 +98,6 @@ def count_colorings_extending(g: Graph, k: int, fixed_colors: Mapping[int, int],
         allowed[v] = 1 << c
         queue.append(v)
     return _count(_neighbor_lists(g), allowed, 0, queue, cap)
-
-
-def count_extensions(g: Graph, partial: PartialAssignment, cap: int = 2) -> int:
-    """Number of proper colorings into [k] agreeing with `partial`, capped."""
-    return count_colorings_extending(g, partial.k, partial.colors, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +242,26 @@ def sample_proper_coloring(g: Graph, k: int, rng: random.Random) -> Coloring:
         rng.shuffle(p)
         palettes.append(p)
 
-    def rec(i: int) -> bool:
-        if i == g.n:
-            return True
+    tried = [0] * g.n  # per level: how many colors of palettes[i] are used up
+    i = 0
+    while 0 <= i < g.n:
         v = order[i]
+        colors[v] = -1
         taken = 0
         for w in g.neighbors(v):
             if colors[w] >= 0:
                 taken |= 1 << colors[w]
-        for c in palettes[i]:
-            if not taken >> c & 1:
-                colors[v] = c
-                if rec(i + 1):
-                    return True
-                colors[v] = -1
-        return False
-
-    if not rec(0):
+        p = palettes[i]
+        j = tried[i]
+        while j < k and taken >> p[j] & 1:
+            j += 1
+        if j < k:
+            colors[v] = p[j]
+            tried[i] = j + 1
+            i += 1
+        else:
+            tried[i] = 0
+            i -= 1
+    if i < 0:
         raise InvalidParameterError(f"graph admits no proper {k}-coloring")
     return Coloring(tuple(colors), k)

@@ -1,11 +1,18 @@
 """Determining and critical sets, per-coloring extremes, and the four
 extremal parameters.
 
-A subset S determines a coloring when the coloring restricted to S has
-exactly one proper extension; criticality is inclusion-minimality of that
-property.  Determining status is monotone upward, so minimum-cardinality
-determining sets are automatically critical, and the largest critical set
-is found by walking the subset lattice top-down with memoized status.
+A subset S determines a coloring c when c restricted to S has exactly one
+proper extension; criticality is inclusion-minimality of that property.
+Equivalently, S meets every difference mask {v : c(v) != c'(v)} over the
+other proper colorings c' (Sudoku's "unavoidable sets"), and S is critical
+iff moreover each of its vertices has a private mask that S meets nowhere
+else: the critical sets of c are the minimal transversals of its minimal
+difference masks.  The mask kernel (`_difference_masks`, then the walk in
+`_transversal_extremes`) gives the extremes for `scs_lcs_for_coloring`,
+`four_params` and `sudoku.mnc_exhaustive`.  Point checks on one given set
+(`is_determining`, `is_critical`, fair-puzzle and reduction certificates)
+use the propagation counter `_count` instead, which needs no enumeration
+and so also runs on order-3 boards and on the large gadget graphs.
 
 Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
@@ -15,8 +22,8 @@ the whole graph's, since components may not use all colors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .coloring import (
     DEFAULT_MAX_VERTICES,
@@ -25,7 +32,6 @@ from .coloring import (
     _neighbor_lists,
     canonical_colorings,
     chromatic_number,
-    is_uniquely_colorable,
 )
 from .errors import InternalError, InvalidParameterError, SizeLimitError
 from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph
@@ -102,47 +108,113 @@ def is_critical(g: Graph, coloring: Coloring, subset: VertexSet) -> CriticalCert
     return CriticalCertificate(coloring, subset, det, minimal)
 
 
-def _coloring_extremes(nbrs, colors, k: int):
-    """(scs, scs_set, lcs, lcs_set) for one coloring of one component.
+def _class_masks(colors, k: int) -> list[int]:
+    """Vertex mask of each color class; unused colors get an empty class."""
+    classes = [0] * k
+    for v, c in enumerate(colors):
+        classes[c] |= 1 << v
+    return classes
 
-    Witness sets are the lexicographically least at their cardinality
-    (combinations() yields sorted tuples in lex order).
+
+def _maximal_matchings(k: int, occupied: int) -> tuple[tuple[int, ...], ...]:
+    """Every inclusion-maximal matching of the bipartite graph on [k] x [k]
+    whose edges (a, b) are the set bits a*k + b of `occupied`, as lists of
+    edge indices."""
+    rows = [occupied >> (a * k) & ((1 << k) - 1) for a in range(k)]
+    later = [0] * (k + 1)  # later[a]: columns adjacent to some row >= a
+    for a in range(k - 1, -1, -1):
+        later[a] = later[a + 1] | rows[a]
+    out = []
+    # (row, used columns, owed columns, matching so far); owed columns sit
+    # next to an unmatched row, so maximality needs a later row to take them
+    stack = [(0, 0, 0, ())]
+    while stack:
+        a, used, owed, picked = stack.pop()
+        if owed & ~used & ~later[a]:
+            continue
+        if a == k:
+            out.append(picked)
+            continue
+        free = rows[a] & ~used
+        if not free & ~later[a + 1]:
+            stack.append((a + 1, used, owed | free, picked))
+        for b in bits(free):
+            stack.append((a + 1, used | 1 << b, owed, picked + (a * k + b,)))
+    return tuple(out)
+
+
+def _difference_masks(
+    owns: Iterable[list[int]], reps: list[list[int]], n: int
+) -> Iterator[list[int]]:
+    """For each coloring c in `owns` (as color classes), its minimal
+    difference masks against every other proper k-coloring of the graph.
+
+    `reps` holds the color classes of one coloring per palette orbit.  A
+    relabelled representative agrees with c on the cells own[a] & rep[b] of
+    a matching of colors, so the largest agreements come from the maximal
+    matchings of the non-empty cells.  c's own relabellings differ from it
+    on own[a] | own[b] for a swap, or on a superset of such a union.
     """
-    n = len(nbrs)
-    memo: dict[int, bool] = {}
+    full = (1 << n) - 1
+    matchings: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for own in owns:
+        k = len(own)
+        masks = {own[a] | own[b] for a in range(k) for b in range(a + 1, k)}
+        for rep in reps:
+            cell = [ca & rb for ca in own for rb in rep]
+            occupied = 0
+            for i, m in enumerate(cell):
+                if m:
+                    occupied |= 1 << i
+            if occupied not in matchings:
+                matchings[occupied] = _maximal_matchings(k, occupied)
+            for matching in matchings[occupied]:
+                agree = 0
+                for i in matching:
+                    agree |= cell[i]
+                masks.add(full ^ agree)
+        masks.discard(0)
+        minimal: list[int] = []
+        for m in sorted(masks, key=int.bit_count):
+            for s in minimal:
+                if not s & ~m:
+                    break
+            else:
+                minimal.append(m)
+        yield minimal
 
-    def det(mask: int) -> bool:
-        r = memo.get(mask)
-        if r is None:
-            r = _extensions_capped(nbrs, colors, k, mask) == 1
-            memo[mask] = r
-        return r
 
-    scs = scs_set = None
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if det(m):
-                scs, scs_set = size, m
-                break
-        if scs is not None:
-            break
-    if scs is None:
-        raise InternalError("no determining set found (full set must determine)")
-    lcs = lcs_set = None
-    for size in range(n, scs - 1, -1):
-        for combo in itertools.combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if det(m) and all(not det(m ^ (1 << v)) for v in combo):
-                lcs, lcs_set = size, m
-                break
-        if lcs is not None:
-            break
-    return scs, scs_set, lcs, lcs_set
+def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
+    """(scs, scs_set, lcs, lcs_set) over the minimal transversals of `masks`
+    of size at most `bound` (all when None), or None if there are none.
+
+    Murakami-Uno's MMCS walk visits each minimal transversal once: branch
+    on the unhit mask with the fewest candidate vertices, forbid the
+    earlier siblings, and cut when a chosen vertex has no private mask
+    left.  Witnesses are the lexicographically least at their size.
+    """
+    hits = [0] * n  # per vertex: indices of the masks containing it
+    for i, m in enumerate(masks):
+        for v in bits(m):
+            hits[v] |= 1 << i
+    found = []
+    # (chosen set, private masks of its vertices, unhit masks, candidates)
+    stack = [(0, [], (1 << len(masks)) - 1, (1 << n) - 1)]
+    while stack:
+        chosen, private, unhit, cand = stack.pop()
+        if not unhit:
+            found.append(chosen)
+        elif bound is None or len(private) < bound:
+            for v in bits(min((masks[i] & cand for i in bits(unhit)), key=int.bit_count)):
+                cand ^= 1 << v
+                kept = [p & ~hits[v] for p in private]
+                if all(kept):
+                    stack.append((chosen | 1 << v, kept + [unhit & hits[v]], unhit & ~hits[v], cand))
+    if not found:
+        return None
+    scs = min(found, key=lambda m: (m.bit_count(), bits(m)))
+    lcs = min(found, key=lambda m: (-m.bit_count(), bits(m)))
+    return scs.bit_count(), scs, lcs.bit_count(), lcs
 
 
 def _check_proper(g: Graph, coloring: Coloring):
@@ -164,7 +236,9 @@ def scs_lcs_for_coloring(
     for comp in connected_components(g):
         sub, verts = induced_subgraph(g, comp)
         sub_colors = tuple(coloring.colors[v] for v in verts)
-        s, s_set, l, l_set = _coloring_extremes(_neighbor_lists(sub), sub_colors, coloring.k)
+        reps = [_class_masks(r, coloring.k) for r in canonical_colorings(sub, coloring.k)]
+        masks = next(_difference_masks([_class_masks(sub_colors, coloring.k)], reps, sub.n))
+        s, s_set, l, l_set = _transversal_extremes(masks, sub.n)
         scs += s
         lcs += l
         for i in bits(s_set):
@@ -185,10 +259,11 @@ def _four_params_engine(g: Graph, k: int, max_vertices: int, at_chi: bool) -> Pa
     per_component = []
     for comp in connected_components(g):
         sub, verts = induced_subgraph(g, comp)
-        nbrs = _neighbor_lists(sub)
+        tuples = list(canonical_colorings(sub, k))
+        reps = [_class_masks(tup, k) for tup in tuples]
         ext: dict[str, tuple[int, tuple[int, ...], int]] = {}
-        for tup in canonical_colorings(sub, k):
-            scs, scs_set, lcs, lcs_set = _coloring_extremes(nbrs, tup, k)
+        for tup, masks in zip(tuples, _difference_masks(reps, reps, sub.n)):
+            scs, scs_set, lcs, lcs_set = _transversal_extremes(masks, sub.n)
             for name, value, mask, better in (
                 ("uscs", scs, scs_set, lambda a, b: a < b),
                 ("oscs", scs, scs_set, lambda a, b: a > b),
@@ -241,28 +316,3 @@ def four_params_k(g: Graph, k: int, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     if k < chi:
         raise InvalidParameterError(f"k={k} below chromatic number {chi}")
     return _four_params_engine(g, k, max_vertices, at_chi=(k == chi))
-
-
-def is_critically_uniform(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> int | None:
-    """The common critical-set size if all four parameters agree, else None."""
-    return four_params(g, max_vertices).uniform_value()
-
-
-def verify_prop1(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
-    """Uniquely colorable implies every critical set has size chi - 1."""
-    if g.n == 0:
-        return True
-    if not is_uniquely_colorable(g, max_vertices):
-        return True
-    chi = chromatic_number(g, max_vertices)
-    return four_params(g, max_vertices).uniform_value() == chi - 1
-
-
-def verify_converse_prop1(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
-    """Every critical set of size chi - 1 implies uniquely colorable."""
-    if g.n == 0:
-        return True
-    chi = chromatic_number(g, max_vertices)
-    if four_params(g, max_vertices).uniform_value() != chi - 1:
-        return True
-    return is_uniquely_colorable(g, max_vertices)

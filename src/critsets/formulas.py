@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .coloring import Coloring, chromatic_number, enumerate_optimal_colorings, is_uniquely_colorable
-from .critical import ParamQuad, is_critical
+from .critical import PARAM_NAMES, ParamQuad, is_critical
 from .errors import InternalError, InvalidParameterError
 from .graphs import Graph, VertexSet, bits, bipartition, connected_components, make_cycle, mask_of
 
@@ -42,14 +42,14 @@ def bipartite_params(g: Graph) -> ParamQuad:
         raise InvalidParameterError("graph is not bipartite")
     if g.m == 0:
         coloring = Coloring((0,) * g.n, 1 if g.n else 0)
-        return ParamQuad(0, 0, 0, 0, {p: (coloring, 0) for p in _PARAMS})
+        return ParamQuad(0, 0, 0, 0, {p: (coloring, 0) for p in PARAM_NAMES})
     comps = connected_components(g)
     k = len(comps)
     side0 = sides[0]
     colors = tuple(0 if side0 >> v & 1 else 1 for v in range(g.n))
     witness_set = mask_of(bits(comp)[0] for comp in comps)
     witness = (Coloring(colors, 2), witness_set)
-    return ParamQuad(k, k, k, k, {p: witness for p in _PARAMS})
+    return ParamQuad(k, k, k, k, {p: witness for p in PARAM_NAMES})
 
 
 def uniquely_colorable_params(g: Graph) -> ParamQuad:
@@ -59,7 +59,7 @@ def uniquely_colorable_params(g: Graph) -> ParamQuad:
     partition forces the rest.
     """
     if g.n == 0:
-        return ParamQuad(0, 0, 0, 0, {p: (Coloring((), 0), 0) for p in _PARAMS})
+        return ParamQuad(0, 0, 0, 0, {p: (Coloring((), 0), 0) for p in PARAM_NAMES})
     if not is_uniquely_colorable(g):
         raise InvalidParameterError("graph is not uniquely colorable")
     coloring = next(iter(enumerate_optimal_colorings(g)))
@@ -71,10 +71,7 @@ def uniquely_colorable_params(g: Graph) -> ParamQuad:
             seen.add(c)
             picked |= 1 << v
     witness = (coloring, picked)
-    return ParamQuad(chi - 1, chi - 1, chi - 1, chi - 1, {p: witness for p in _PARAMS})
-
-
-_PARAMS = ("uscs", "oscs", "ulcs", "olcs")
+    return ParamQuad(chi - 1, chi - 1, chi - 1, chi - 1, {p: witness for p in PARAM_NAMES})
 
 
 def _cycle_coloring_for_smallest(n: int) -> tuple[tuple[int, ...], VertexSet]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .coloring import Coloring, count_colorings_extending
+from .coloring import Coloring, canonical_colorings, count_colorings_extending
+from .critical import _class_masks, _difference_masks, _transversal_extremes
 from .errors import InternalError, InvalidParameterError, SizeLimitError, UnsupportedError
 from .graphs import Graph, VertexSet, bits
 
@@ -260,64 +261,32 @@ class MncResult:
     boards_checked: int
 
 
-def _orbit_canonical(colors: tuple[int, ...]) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    for c in colors:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    return tuple(relabel[c] for c in colors)
-
-
 def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     """Exhaustive minimum clue count over all order-2 boards.
 
-    A clue set is fair iff it hits every cell-difference mask against the
-    other 287 boards, so the check is exact hitting-set testing over the
-    full board enumeration.  With `symmetry` on, boards are reduced to one
-    representative per color-permutation orbit (fairness is invariant
-    under relabeling); both modes return the same minimum.
+    A clue set is fair iff it hits every difference mask of the board
+    against the other 287 boards, so a board's smallest fair puzzle is the
+    minimum transversal of its masks: the mask kernel behind uscs in
+    `critical.four_params`, bounded by the best clue count so far.  With
+    `symmetry` on, only the 12 palette-orbit representatives are searched;
+    both modes return the same minimum.  A given clue set is checked by
+    `certify_fair_puzzle`, the propagation counter that also runs at order 3.
     """
     if n != 2:
         raise UnsupportedError("exhaustive minimum-clue search is only supported at order 2")
-    from itertools import combinations
-
-    boards = all_boards(2)
-    if symmetry:
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for b in boards:
-            seen.setdefault(_orbit_canonical(b), b)
-        candidates = tuple(seen.values())
-    else:
-        candidates = boards
-    cells = 16
-    diff_cache: dict[tuple[int, ...], list[int]] = {}
-
-    def diffs(board: tuple[int, ...]) -> list[int]:
-        got = diff_cache.get(board)
-        if got is None:
-            got = []
-            for other in boards:
-                if other is board or other == board:
-                    continue
-                m = 0
-                for v in range(cells):
-                    if other[v] != board[v]:
-                        m |= 1 << v
-                got.append(m)
-            got.sort(key=int.bit_count)
-            diff_cache[board] = got
-        return got
-
-    for size in range(1, cells + 1):
-        for board in candidates:
-            masks = diffs(board)
-            for combo in combinations(range(cells), size):
-                s = 0
-                for v in combo:
-                    s |= 1 << v
-                if all(s & d for d in masks):
-                    return MncResult(size, Coloring(board, 4), s, len(candidates))
-    raise InternalError("no fair puzzle found at any size")
+    side, cells = 4, 16
+    orbit_reps = list(canonical_colorings(sudoku_graph(2).graph, side))
+    reps = [_class_masks(r, side) for r in orbit_reps]
+    candidates = orbit_reps if symmetry else all_boards(2)
+    owns = (_class_masks(board, side) for board in candidates)
+    best = None
+    for board, masks in zip(candidates, _difference_masks(owns, reps, cells)):
+        got = _transversal_extremes(masks, cells, None if best is None else best[0] - 1)
+        if got is not None:
+            best = (got[0], board, got[1])
+    if best is None:
+        raise InternalError("no fair puzzle found at any size")
+    return MncResult(best[0], Coloring(best[1], side), best[2], len(candidates))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,13 @@ def test_sudoku_certify(capsys, tmp_path):
     assert code == 0 and out.startswith("unfair")
     code, _, _ = run_cli(capsys, "sudoku", "certify", str(tmp_path / "missing.txt"))
     assert code == 1
+    code, out, _ = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", "5")
+    assert code == 0 and out.strip() == "unfair (5+ completions)"
+    code, out, _ = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", "500")
+    assert code == 0 and out.strip() == "unfair (288 completions)"
+    # the flag belongs to certify alone, not to the global options
+    with pytest.raises(SystemExit):
+        main(["--cap-extensions", "5", "sudoku", "certify", str(empty)])
 
 
 def test_reduce_command(capsys, tmp_path):

@@ -6,10 +6,9 @@ import pytest
 from conftest import brute_force_proper_count, cycle_chromatic_poly, star
 from critsets.coloring import (
     Coloring,
-    PartialAssignment,
     chromatic_number,
     colorful_vertices,
-    count_extensions,
+    count_colorings_extending,
     enumerate_optimal_colorings,
     is_uniquely_colorable,
     sample_proper_coloring,
@@ -74,16 +73,19 @@ def test_orbit_representatives_cover_all_colorings():
             assert seen == sorted(seen)
 
 
+def restrict(coloring: Coloring, subset: int) -> dict[int, int]:
+    return {v: coloring.colors[v] for v in bits(subset)}
+
+
 def test_count_extensions_examples():
     c5 = make_cycle(5)
     coloring = Coloring((0, 1, 0, 1, 2), 3)
-    full = PartialAssignment.restrict(coloring, (1 << 5) - 1)
-    assert count_extensions(c5, full, cap=5) == 1
-    empty = PartialAssignment(3, {})
-    assert count_extensions(c5, empty, cap=100) == 30
-    assert count_extensions(c5, empty, cap=100) == cycle_chromatic_poly(5, 3)
+    full = restrict(coloring, (1 << 5) - 1)
+    assert count_colorings_extending(c5, 3, full, cap=5) == 1
+    assert count_colorings_extending(c5, 3, {}, cap=100) == 30
+    assert count_colorings_extending(c5, 3, {}, cap=100) == cycle_chromatic_poly(5, 3)
     two_edges = disjoint_union(make_complete(2), make_complete(2))
-    assert count_extensions(two_edges, PartialAssignment(2, {0: 0}), cap=10) == 2
+    assert count_colorings_extending(two_edges, 2, {0: 0}, cap=10) == 2
 
 
 def test_count_extensions_monotone_in_support():
@@ -94,12 +96,12 @@ def test_count_extensions_monotone_in_support():
             continue
         coloring = next(iter(enumerate_optimal_colorings(g)))
         subset = 0
-        last = count_extensions(g, PartialAssignment.restrict(coloring, 0), cap=10**6)
+        last = count_colorings_extending(g, chi, restrict(coloring, 0), cap=10**6)
         order = list(range(g.n))
         rng.shuffle(order)
         for v in order:
             subset |= 1 << v
-            now = count_extensions(g, PartialAssignment.restrict(coloring, subset), cap=10**6)
+            now = count_colorings_extending(g, chi, restrict(coloring, subset), cap=10**6)
             assert now <= last
             last = now
         assert last == 1
@@ -109,7 +111,7 @@ def test_empty_support_never_determines_when_two_colors_needed():
     for g in enumerate_graphs(5):
         chi = chromatic_number(g)
         if chi >= 2:
-            assert count_extensions(g, PartialAssignment(chi, {}), cap=2) == 2
+            assert count_colorings_extending(g, chi, {}, cap=2) == 2
 
 
 def test_is_uniquely_colorable():

@@ -4,19 +4,19 @@ import pytest
 
 from critsets.coloring import (
     Coloring,
+    canonical_colorings,
     chromatic_number,
     colorful_vertices,
     enumerate_optimal_colorings,
 )
 from critsets.critical import (
+    _class_masks,
+    _difference_masks,
     four_params,
     four_params_k,
     is_critical,
-    is_critically_uniform,
     is_determining,
     scs_lcs_for_coloring,
-    verify_converse_prop1,
-    verify_prop1,
 )
 from critsets.errors import InvalidParameterError, SizeLimitError
 from critsets.graphs import (
@@ -29,6 +29,7 @@ from critsets.graphs import (
     make_path,
     mask_of,
 )
+from critsets.scan import implication_holds, record_for_graph
 
 C4_COLORING = Coloring((0, 1, 0, 1), 2)
 
@@ -76,6 +77,9 @@ def test_scs_lcs_for_coloring():
 def test_four_params_named_graphs():
     assert four_params(make_path(4)).values() == (1, 1, 1, 1)
     assert four_params(make_complete(4)).values() == (3, 3, 3, 3)
+    # K14 has one coloring orbit of 14! colorings: its difference masks
+    # must come from the 91 class swaps, not from palette permutations
+    assert four_params(make_complete(14)).values() == (13,) * 4
     assert four_params(add_pendant_to_each(make_complete(3))).values() == (4, 4, 4, 4)
     assert four_params(make_cycle(5)).values() == (3, 3, 4, 4)
     assert four_params(make_empty(0)).values() == (0, 0, 0, 0)
@@ -120,10 +124,10 @@ def test_determining_is_monotone_upward():
 
 
 def test_is_critically_uniform():
-    assert is_critically_uniform(make_path(4)) == 1
-    assert is_critically_uniform(make_complete(4)) == 3
-    assert is_critically_uniform(make_cycle(5)) is None
-    assert is_critically_uniform(add_pendant_to_each(make_complete(3))) == 4
+    assert four_params(make_path(4)).uniform_value() == 1
+    assert four_params(make_complete(4)).uniform_value() == 3
+    assert four_params(make_cycle(5)).uniform_value() is None
+    assert four_params(add_pendant_to_each(make_complete(3))).uniform_value() == 4
 
 
 def test_four_params_k():
@@ -150,13 +154,31 @@ def test_four_params_k_matches_definition_on_atlas():
 
 def test_engine_matches_definitional_brute_force():
     # dual route: the search engine against raw definition enumeration on
-    # every isomorphism class up to 4 vertices plus a few 5-vertex graphs
+    # every isomorphism class up to 5 vertices plus a few named 5-vertex graphs
     from conftest import brute_force_four_params
 
     small = [g for n in range(5) for g in enumerate_graphs(n)]
     small += [make_cycle(5), make_path(5), enumerate_graphs(5)[20]]
+    small += enumerate_graphs(5)
     for g in small:
         assert four_params(g).values() == brute_force_four_params(g), g.adj
+
+
+def test_difference_masks_match_determining_point_checks():
+    # a set determines the coloring iff it hits every difference mask; the
+    # masks come from palette-orbit representatives and matchings, the point
+    # check from the propagation counter
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            chi = chromatic_number(g)
+            for k in (chi, chi + 1):
+                reps = [_class_masks(tup, k) for tup in canonical_colorings(g, k)]
+                for tup in canonical_colorings(g, k):
+                    coloring = Coloring(tup, k)
+                    masks = next(_difference_masks([_class_masks(tup, k)], reps, g.n))
+                    for subset in range(1 << g.n):
+                        hits_all = all(subset & m for m in masks)
+                        assert hits_all == is_determining(g, coloring, subset), (g.adj, tup, subset)
 
 
 def test_paw_is_the_small_nonuniform_exception():
@@ -169,7 +191,7 @@ def test_paw_is_the_small_nonuniform_exception():
     paw = complement(disjoint_union(make_empty(1), make_path(3)))
     assert brute_force_four_params(paw) == PAW_TRUE_QUAD
     assert four_params(paw).values() == PAW_TRUE_QUAD
-    assert is_critically_uniform(paw) is None
+    assert four_params(paw).uniform_value() is None
     coloring = Coloring((0, 1, 1, 2), 3)
     assert is_critical(paw, coloring, mask_of([2, 3])).minimal
     assert is_critical(paw, coloring, mask_of([0, 1, 2])).minimal
@@ -178,19 +200,20 @@ def test_paw_is_the_small_nonuniform_exception():
 def test_prop1_and_converse_on_small_atlas():
     for n in range(6):
         for g in enumerate_graphs(n):
-            assert verify_prop1(g)
-            assert verify_converse_prop1(g)
+            rec = record_for_graph(g)
+            assert implication_holds("prop1", rec)
+            assert implication_holds("converse", rec)
 
 
 def test_pendant_triangle_is_uniform_but_not_uniquely_colorable():
     g = add_pendant_to_each(make_complete(3))
     from critsets.coloring import is_uniquely_colorable
 
-    assert is_critically_uniform(g) == 4
+    assert four_params(g).uniform_value() == 4
     assert not is_uniquely_colorable(g)
     assert chromatic_number(g) == 3
     # uniform value 4 != chi - 1, so the converse implication is not tested by it
-    assert verify_converse_prop1(g)
+    assert implication_holds("converse", record_for_graph(g))
 
 
 def test_size_limit_and_override():

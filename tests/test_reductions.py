@@ -167,6 +167,11 @@ def test_verify_certificate_modes():
     rep = verify_reduction_small(make_complete(4), "olcs", mode="certificate", samples=5, seed=2)
     assert rep.consistent and not rep.h_three_colorable
 
+    # G has 1047 vertices, more than the interpreter's recursion limit, so
+    # sampling a coloring must not recurse once per vertex
+    rep = verify_reduction_small(make_complete(8), "ulcs")
+    assert rep.g_vertices == 1047 and rep.consistent
+
 
 def test_role_map_json():
     inst = reduce_olcs(make_path(3))

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from critsets.coloring import Coloring, PartialAssignment, count_extensions
-from critsets.critical import is_determining
+from critsets.coloring import Coloring, count_colorings_extending
+from critsets.critical import four_params, is_determining
 from critsets.errors import InvalidParameterError, SizeLimitError, UnsupportedError
 from critsets.graphs import (
     bits,
@@ -91,7 +91,7 @@ def test_boards_enumeration_matches_extension_count():
     boards = all_boards(2)
     assert len(boards) == 288
     g = sudoku_graph(2).graph
-    assert count_extensions(g, PartialAssignment(4, {}), cap=1000) == 288
+    assert count_colorings_extending(g, 4, {}, cap=1000) == 288
     for colors in boards[::48]:
         assert Coloring(colors, 4).is_proper(g)
 
@@ -144,6 +144,13 @@ def test_mnc_exhaustive():
     for result in (sym, full):
         assert result.clues.bit_count() == 4
         assert certify_fair_puzzle(s, result.board, result.clues)
+    # cross-route: the generic engine's smallest critical set over all
+    # boards is the minimum clue count, and its witness is a fair puzzle
+    quad = four_params(s.graph)
+    assert quad.uscs == sym.min_clues
+    board, clues = quad.witnesses["uscs"]
+    assert clues.bit_count() == 4
+    assert certify_fair_puzzle(s, board, clues)
     with pytest.raises(UnsupportedError):
         mnc_exhaustive(3)
 
