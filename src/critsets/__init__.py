@@ -12,8 +12,8 @@ from .critical import (
     CriticalCertificate,
     ParamQuad,
     ScsLcs,
+    forced_vertices,
     four_params,
-    four_params_k,
     is_critical,
     is_determining,
     scs_lcs_for_coloring,
@@ -53,7 +53,6 @@ from .graphs import (
 from .reductions import (
     ReductionInstance,
     ReductionReport,
-    forced_vertices,
     proof_coloring_olcs,
     proof_coloring_ulcs,
     reduce_olcs,

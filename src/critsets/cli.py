@@ -17,8 +17,8 @@ import os
 import sys
 
 from . import graphs, scan, sudoku
-from .coloring import Coloring, chromatic_number
-from .critical import PARAM_NAMES, ParamQuad, four_params, four_params_k
+from .coloring import DEFAULT_MAX_VERTICES, Coloring, chromatic_number
+from .critical import PARAM_NAMES, ParamQuad, four_params
 from .errors import (
     CritsetsError,
     Graph6Error,
@@ -79,12 +79,8 @@ def _quad_json(quad: ParamQuad) -> dict:
 def cmd_params(args) -> int:
     g = load_graph_source(args.source)
     chi = chromatic_number(g, args.max_vertices)
-    if args.k is not None:
-        quad = four_params_k(g, args.k, args.max_vertices)
-        k = args.k
-    else:
-        quad = four_params(g, args.max_vertices)
-        k = chi
+    k = chi if args.k is None else args.k
+    quad = four_params(g, args.k, max_vertices=args.max_vertices)
     if args.format == "json":
         print(json.dumps({"source": args.source, "n": g.n, "m": g.m, "chi": chi,
                           "k": k, **_quad_json(quad)}))
@@ -109,8 +105,6 @@ def _table_records(n: int, nonbipartite: bool, max_vertices: int):
 
 
 def cmd_table(args) -> int:
-    if args.n > 7:
-        raise SizeLimitError("tables are available up to 7 vertices")
     records = list(_table_records(args.n, args.nonbipartite, args.max_vertices))
     if args.format == "json":
         print(json.dumps([rec.__dict__ for rec in records]))
@@ -250,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact critical-set computations for graph colorings",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    parser.add_argument("--max-vertices", type=int, default=20,
-                        help="exact-search vertex cap (default 20)")
+    parser.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+                        help=f"exact-search vertex cap (default {DEFAULT_MAX_VERTICES})")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,7 +30,20 @@ class Coloring:
                 raise InvalidParameterError("color out of palette range")
 
     def is_proper(self, g: Graph) -> bool:
-        return all(self.colors[u] != self.colors[v] for u, v in g.edges())
+        """True iff the coloring covers g's vertices and no neighbor of a
+        vertex shares its color."""
+        if len(self.colors) != g.n:
+            return False
+        classes = _class_masks(self.colors, self.k)
+        return not any(row & classes[c] for row, c in zip(g.adj, self.colors))
+
+
+def _class_masks(colors, k: int) -> list[int]:
+    """Vertex mask of each color class; unused colors get an empty class."""
+    classes = [0] * k
+    for v, c in enumerate(colors):
+        classes[c] |= 1 << v
+    return classes
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:

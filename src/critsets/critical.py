@@ -10,9 +10,12 @@ else: the critical sets of c are the minimal transversals of its minimal
 difference masks.  The mask kernel (`_difference_masks`, then the walk in
 `_transversal_extremes`) gives the extremes for `scs_lcs_for_coloring`,
 `four_params` and `sudoku.mnc_exhaustive`.  Point checks on one given set
-(`is_determining`, `is_critical`, fair-puzzle and reduction certificates)
-use the propagation counter `_count` instead, which needs no enumeration
-and so also runs on order-3 boards and on the large gadget graphs.
+go through `_determines` instead (behind `is_determining`, `is_critical`,
+`prune_to_critical` and the fair-puzzle and reduction certificates), the
+propagation counter `_count` capped at 2, which needs no enumeration and
+so also runs on order-3 boards and on the large gadget graphs.  The
+vertices in every determining set need neither: they are the vertices
+that are not colorful (`forced_vertices`).
 
 Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
@@ -23,15 +26,18 @@ the whole graph's, since components may not use all colors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .coloring import (
     DEFAULT_MAX_VERTICES,
     Coloring,
+    _class_masks,
     _count,
     _neighbor_lists,
     canonical_colorings,
     chromatic_number,
+    colorful_vertices,
 )
 from .errors import InternalError, InvalidParameterError, SizeLimitError
 from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph
@@ -76,44 +82,53 @@ class ScsLcs:
     lcs_witness: VertexSet
 
 
-def _extensions_capped(nbrs, colors, k: int, subset: VertexSet, cap: int = 2) -> int:
-    full = (1 << k) - 1
+def _determines(nbrs, coloring: Coloring, subset: VertexSet) -> bool:
+    """True iff the coloring restricted to `subset` has exactly one proper
+    extension (propagation plus branching, counting capped at 2)."""
+    full = (1 << coloring.k) - 1
     allowed = []
     queue = []
-    for v in range(len(nbrs)):
+    for v, c in enumerate(coloring.colors):
         if subset >> v & 1:
-            allowed.append(1 << colors[v])
+            allowed.append(1 << c)
             queue.append(v)
         else:
             allowed.append(full)
-    return _count(nbrs, allowed, 0, queue, cap)
+    return _count(nbrs, allowed, 0, queue, 2) == 1
 
 
 def is_determining(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
     """True iff the coloring restricted to `subset` extends uniquely."""
     if subset >> g.n:
         raise InvalidParameterError("subset has bits beyond vertex range")
-    nbrs = _neighbor_lists(g)
-    return _extensions_capped(nbrs, coloring.colors, coloring.k, subset) == 1
+    return _determines(_neighbor_lists(g), coloring, subset)
 
 
 def is_critical(g: Graph, coloring: Coloring, subset: VertexSet) -> CriticalCertificate:
     """Determining plus minimality flags for (g, coloring, subset)."""
     nbrs = _neighbor_lists(g)
-    det = _extensions_capped(nbrs, coloring.colors, coloring.k, subset) == 1
-    minimal = det and all(
-        _extensions_capped(nbrs, coloring.colors, coloring.k, subset ^ (1 << v)) != 1
-        for v in bits(subset)
-    )
+    det = _determines(nbrs, coloring, subset)
+    minimal = det and not any(_determines(nbrs, coloring, subset ^ (1 << v)) for v in bits(subset))
     return CriticalCertificate(coloring, subset, det, minimal)
 
 
-def _class_masks(colors, k: int) -> list[int]:
-    """Vertex mask of each color class; unused colors get an empty class."""
-    classes = [0] * k
-    for v, c in enumerate(colors):
-        classes[c] |= 1 << v
-    return classes
+def prune_to_critical(g: Graph, coloring: Coloring, order: list[int]) -> VertexSet:
+    """Greedy single-pass pruning from the full vertex set; the survivor
+    set is inclusion-minimal determining (monotonicity)."""
+    nbrs = _neighbor_lists(g)
+    subset = (1 << g.n) - 1
+    for v in order:
+        trial = subset ^ (1 << v)
+        if _determines(nbrs, coloring, trial):
+            subset = trial
+    return subset
+
+
+def forced_vertices(g: Graph, coloring: Coloring) -> VertexSet:
+    """Vertices that belong to every determining set of a proper coloring.
+    V - {v} determines it exactly when the neighbors of v show the other
+    k-1 colors, so these are the vertices that are not colorful."""
+    return ((1 << g.n) - 1) & ~colorful_vertices(g, coloring)
 
 
 def _maximal_matchings(k: int, occupied: int) -> tuple[tuple[int, ...], ...]:
@@ -224,6 +239,45 @@ def _check_proper(g: Graph, coloring: Coloring):
         raise InvalidParameterError("coloring is not proper")
 
 
+def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
+    """Per connected component: its vertices, and (colors, scs, scs set,
+    lcs, lcs set) for each palette-orbit representative of its proper
+    k-colorings, or only for the restriction of `coloring` when given.
+    Colors and sets are in the component's own indices."""
+    for comp in connected_components(g):
+        sub, verts = induced_subgraph(g, comp)
+        tuples = list(canonical_colorings(sub, k))
+        reps = owns = [_class_masks(tup, k) for tup in tuples]
+        if coloring is not None:
+            tuples = [tuple(coloring.colors[v] for v in verts)]
+            owns = [_class_masks(tuples[0], k)]
+        masks = _difference_masks(owns, reps, sub.n)
+        rows = [(tup, *_transversal_extremes(m, sub.n)) for tup, m in zip(tuples, masks)]
+        if not rows:
+            raise InternalError(f"component admits no proper {k}-coloring")
+        yield verts, rows
+
+
+def _lift(n: int, chosen, i: int) -> tuple[int, tuple[int, ...], VertexSet]:
+    """Sum of field i over one chosen row per component, with the rows'
+    colorings and their sets in field i + 1 mapped back to the whole graph."""
+    total = 0
+    colors = [0] * n
+    mask = 0
+    for verts, row in chosen:
+        total += row[i]
+        for j, v in enumerate(verts):
+            colors[v] = row[0][j]
+        for j in bits(row[i + 1]):
+            mask |= 1 << verts[j]
+    return total, tuple(colors), mask
+
+
+_SCS, _LCS = 1, 3  # fields of a _component_extremes row
+# each parameter is the min or the max over colorings of one of them
+_EXTREMES = (("uscs", min, _SCS), ("oscs", max, _SCS), ("ulcs", min, _LCS), ("olcs", max, _LCS))
+
+
 def scs_lcs_for_coloring(
     g: Graph, coloring: Coloring, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> ScsLcs:
@@ -231,88 +285,37 @@ def scs_lcs_for_coloring(
     if g.n > max_vertices:
         raise SizeLimitError(f"exact search capped at {max_vertices} vertices")
     _check_proper(g, coloring)
-    scs = lcs = 0
-    scs_mask = lcs_mask = 0
-    for comp in connected_components(g):
-        sub, verts = induced_subgraph(g, comp)
-        sub_colors = tuple(coloring.colors[v] for v in verts)
-        reps = [_class_masks(r, coloring.k) for r in canonical_colorings(sub, coloring.k)]
-        masks = next(_difference_masks([_class_masks(sub_colors, coloring.k)], reps, sub.n))
-        s, s_set, l, l_set = _transversal_extremes(masks, sub.n)
-        scs += s
-        lcs += l
-        for i in bits(s_set):
-            scs_mask |= 1 << verts[i]
-        for i in bits(l_set):
-            lcs_mask |= 1 << verts[i]
-    return ScsLcs(scs, lcs, scs_mask, lcs_mask)
+    chosen = [(verts, rows[0]) for verts, rows in _component_extremes(g, coloring.k, coloring)]
+    scs, _, scs_set = _lift(g.n, chosen, _SCS)
+    lcs, _, lcs_set = _lift(g.n, chosen, _LCS)
+    return ScsLcs(scs, lcs, scs_set, lcs_set)
 
 
-def _four_params_engine(g: Graph, k: int, max_vertices: int, at_chi: bool) -> ParamQuad:
-    if g.n > max_vertices:
-        raise SizeLimitError(f"exact search capped at {max_vertices} vertices")
-    if g.n == 0:
-        empty = Coloring((), 0)
-        return ParamQuad(0, 0, 0, 0, {name: (empty, 0) for name in PARAM_NAMES})
+def four_params(
+    g: Graph, k: int | None = None, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> ParamQuad:
+    """Exact (uscs, oscs, ulcs, olcs) with witnesses, over the proper
+    colorings into [k] for a given k >= chi(g) (default chi).
 
-    # per component and parameter: (value, coloring tuple, witness mask)
-    per_component = []
-    for comp in connected_components(g):
-        sub, verts = induced_subgraph(g, comp)
-        tuples = list(canonical_colorings(sub, k))
-        reps = [_class_masks(tup, k) for tup in tuples]
-        ext: dict[str, tuple[int, tuple[int, ...], int]] = {}
-        for tup, masks in zip(tuples, _difference_masks(reps, reps, sub.n)):
-            scs, scs_set, lcs, lcs_set = _transversal_extremes(masks, sub.n)
-            for name, value, mask, better in (
-                ("uscs", scs, scs_set, lambda a, b: a < b),
-                ("oscs", scs, scs_set, lambda a, b: a > b),
-                ("ulcs", lcs, lcs_set, lambda a, b: a < b),
-                ("olcs", lcs, lcs_set, lambda a, b: a > b),
-            ):
-                if name not in ext or better(value, ext[name][0]):
-                    ext[name] = (value, tup, mask)
-        if not ext:
-            raise InternalError(f"component admits no proper {k}-coloring")
-        per_component.append((verts, ext))
-
-    values = {}
-    witnesses = {}
-    for name in PARAM_NAMES:
-        total = 0
-        colors = [0] * g.n
-        mask = 0
-        for verts, ext in per_component:
-            value, tup, sub_mask = ext[name]
-            total += value
-            for i, v in enumerate(verts):
-                colors[v] = tup[i]
-            for i in bits(sub_mask):
-                mask |= 1 << verts[i]
-        values[name] = total
-        witnesses[name] = (Coloring(tuple(colors), k), mask)
-
-    quad = ParamQuad(values["uscs"], values["oscs"], values["ulcs"], values["olcs"], witnesses)
-    if not (quad.uscs <= quad.oscs <= quad.olcs and quad.uscs <= quad.ulcs <= quad.olcs):
-        raise InternalError(f"parameter ordering violated: {quad.values()}")
-    if at_chi and g.n >= 1 and quad.olcs > g.n - 1:
-        raise InternalError(f"critical set of size {quad.olcs} exceeds n-1")
-    return quad
-
-
-def four_params(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> ParamQuad:
-    """Exact (uscs, oscs, ulcs, olcs) over optimal colorings, with witnesses."""
-    k = chromatic_number(g, max_vertices)
-    return _four_params_engine(g, k, max_vertices, at_chi=True)
-
-
-def four_params_k(g: Graph, k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> ParamQuad:
-    """Same extremes over all proper colorings into [k], k >= chi(g).
-
-    Colorings need not use every color, so values can differ from (and the
-    n-1 upper bound need not apply beyond) the k = chi case.
+    Above chi, colorings need not use every color, so values can differ
+    from the k = chi case and the n-1 upper bound need not apply.
     """
     chi = chromatic_number(g, max_vertices)
-    if k < chi:
+    if k is None:
+        k = chi
+    elif k < chi:
         raise InvalidParameterError(f"k={k} below chromatic number {chi}")
-    return _four_params_engine(g, k, max_vertices, at_chi=(k == chi))
+    components = list(_component_extremes(g, k))
+    values = []
+    witnesses = {}
+    for name, pick, i in _EXTREMES:
+        chosen = [(verts, pick(rows, key=itemgetter(i))) for verts, rows in components]
+        value, colors, mask = _lift(g.n, chosen, i)
+        values.append(value)
+        witnesses[name] = (Coloring(colors, k), mask)
+    quad = ParamQuad(*values, witnesses)
+    if not (quad.uscs <= quad.oscs <= quad.olcs and quad.uscs <= quad.ulcs <= quad.olcs):
+        raise InternalError(f"parameter ordering violated: {quad.values()}")
+    if k == chi and g.n and quad.olcs > g.n - 1:
+        raise InternalError(f"critical set of size {quad.olcs} exceeds n-1")
+    return quad

@@ -327,20 +327,20 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > expect:
         raise Graph6Error(f"trailing characters after n={n} body", body_off + expect)
     rows = [0] * n
-    idx = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    i, j = 0, 1  # next pair of the upper triangle, in column-major order
     for bidx, ch in enumerate(body):
         v = ord(ch) - 63
-        for t in range(6):
-            bit = v >> (5 - t) & 1
-            if idx < nbits:
-                if bit:
-                    i, j = pairs[idx]
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                idx += 1
-            elif bit:
-                raise Graph6Error("nonzero padding bits", body_off + bidx)
+        for t in range(5, -1, -1):
+            if j >= n:
+                if v & ((2 << t) - 1):
+                    raise Graph6Error("nonzero padding bits", body_off + bidx)
+                break
+            if v >> t & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, tuple(rows))
 
 

@@ -26,18 +26,18 @@ from math import comb
 from .coloring import (
     DEFAULT_MAX_VERTICES,
     Coloring,
-    _neighbor_lists,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
     sample_proper_coloring,
 )
-from .critical import _extensions_capped, four_params, is_critical
-from .errors import InternalError, InvalidParameterError
-from .graphs import Graph, VertexSet, bits
+from .critical import forced_vertices, four_params, is_critical, prune_to_critical
+from .errors import InvalidParameterError
+from .graphs import Graph
 
 ULCS = "ulcs"
 OLCS = "olcs"
+FULL_THRESHOLD = 14  # "auto" mode computes G's exact parameter up to this many vertices
 
 
 @dataclass(frozen=True)
@@ -177,30 +177,6 @@ def proof_coloring_olcs(instance: ReductionInstance, c3: Coloring) -> Coloring:
     return Coloring(tuple(colors), 3)
 
 
-def forced_vertices(g: Graph, coloring: Coloring) -> VertexSet:
-    """Vertices that belong to every determining set: revealing all the
-    others still leaves the vertex's color ambiguous."""
-    nbrs = _neighbor_lists(g)
-    full = (1 << g.n) - 1
-    out = 0
-    for v in range(g.n):
-        if _extensions_capped(nbrs, coloring.colors, coloring.k, full ^ (1 << v)) != 1:
-            out |= 1 << v
-    return out
-
-
-def _prune_to_critical(g: Graph, coloring: Coloring, order: list[int]) -> VertexSet:
-    """Greedy single-pass pruning from the full vertex set; the survivor
-    set is inclusion-minimal determining (monotonicity)."""
-    nbrs = _neighbor_lists(g)
-    subset = (1 << g.n) - 1
-    for v in order:
-        trial = subset ^ (1 << v)
-        if _extensions_capped(nbrs, coloring.colors, coloring.k, trial) == 1:
-            subset = trial
-    return subset
-
-
 @dataclass(frozen=True)
 class ReductionReport:
     variant: str
@@ -222,7 +198,6 @@ def verify_reduction_small(
     mode: str = "auto",
     samples: int = 20,
     seed: int = 0,
-    full_threshold: int = 14,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> ReductionReport:
     """Check an instance against its theorem at feasible scale.
@@ -242,102 +217,74 @@ def verify_reduction_small(
     g = instance.graph
     three_col = h.n == 0 or chromatic_number(h) <= 3
     if mode == "auto":
-        mode = "full" if g.n <= full_threshold else "certificate"
+        mode = "full" if g.n <= FULL_THRESHOLD else "certificate"
+    value = None
+    rng = random.Random(seed)
 
     if mode == "full":
         quad = four_params(g, max_vertices=max_vertices)
         value = quad.ulcs if variant == ULCS else quad.olcs
         reaches = value >= instance.k
-        expected = (not three_col) if variant == ULCS else three_col
-        return ReductionReport(
-            variant, h.n, h.m, g.n, g.m, instance.k, three_col, "full", value,
-            reaches == expected,
-            f"exact {variant}={value}, threshold k={instance.k}, reaches={reaches}",
-        )
+        ok = reaches == ((not three_col) if variant == ULCS else three_col)
+        detail = f"exact {variant}={value}, threshold k={instance.k}, reaches={reaches}"
 
-    if mode != "certificate":
+    elif mode != "certificate":
         raise InvalidParameterError(f"unknown mode {mode!r}")
 
-    rng = random.Random(seed)
-    if variant == ULCS and not three_col:
+    elif variant == ULCS and not three_col:
         replicas_by_edge: dict[tuple[int, int], list[int]] = {}
         for v, role in enumerate(instance.roles):
             if role.info[0] == "edge_replica":
                 replicas_by_edge.setdefault((role.info[1], role.info[2]), []).append(v)
-        nbrs = _neighbor_lists(g)
-        full = (1 << g.n) - 1
+        ok, detail = True, f"{samples} sampled colorings: monochromatic-edge replicas all forced"
         for _ in range(samples):
             c = sample_proper_coloring(g, 3, rng)
-            mono = next(
-                ((u, w) for u, w in h.edges() if c.colors[u] == c.colors[w]), None
-            )
+            mono = next(((u, w) for u, w in h.edges() if c.colors[u] == c.colors[w]), None)
             if mono is None:
-                return ReductionReport(
-                    variant, h.n, h.m, g.n, g.m, instance.k, three_col, "certificate",
-                    None, False, "sampled coloring induced a proper 3-coloring of H",
-                )
-            for r in replicas_by_edge[mono]:
-                if _extensions_capped(nbrs, c.colors, 3, full ^ (1 << r)) == 1:
-                    return ReductionReport(
-                        variant, h.n, h.m, g.n, g.m, instance.k, three_col,
-                        "certificate", None, False, f"replica {r} not forced",
-                    )
-        return ReductionReport(
-            variant, h.n, h.m, g.n, g.m, instance.k, three_col, "certificate", None,
-            True, f"{samples} sampled colorings: monochromatic-edge replicas all forced",
-        )
+                ok, detail = False, "sampled coloring induced a proper 3-coloring of H"
+                break
+            forced = forced_vertices(g, c)
+            loose = [r for r in replicas_by_edge[mono] if not forced >> r & 1]
+            if loose:
+                ok, detail = False, f"replica {loose[0]} not forced"
+                break
 
-    if variant == OLCS and three_col:
+    elif variant == OLCS and three_col:
         c3 = Coloring(next(canonical_colorings(h, 3)), 3)
         lifted = proof_coloring_olcs(instance, c3)
         v1 = instance.vertices_with_kind("V1")
-        v2 = set(instance.vertices_with_kind("V2"))
+        v2 = instance.vertices_with_kind("V2")
         v3 = instance.vertices_with_kind("V3")
-        subset = _prune_to_critical(g, lifted, v1 + v3 + sorted(v2))
-        cert = is_critical(g, lifted, subset)
+        subset = prune_to_critical(g, lifted, v1 + v3 + v2)
         ok = (
-            cert.minimal
+            is_critical(g, lifted, subset).minimal
             and subset.bit_count() >= instance.k
             and all(subset >> v & 1 for v in v2)
             and sum(subset >> v & 1 for v in v3) == 2
         )
-        return ReductionReport(
-            variant, h.n, h.m, g.n, g.m, instance.k, three_col, "certificate", None, ok,
-            f"certified critical set of size {subset.bit_count()} >= k={instance.k} "
-            "containing every replica and two triangle corners",
-        )
+        detail = (f"certified critical set of size {subset.bit_count()} >= k={instance.k} "
+                  "containing every replica and two triangle corners")
 
-    if variant == ULCS and three_col:
+    elif variant == ULCS:  # and H 3-colorable
         c3 = Coloring(next(canonical_colorings(h, 3)), 3)
-        lifted = proof_coloring_ulcs(instance, c3)
-        rainbow = colorful_vertices(g, lifted)
+        rainbow = colorful_vertices(g, proof_coloring_ulcs(instance, c3))
         ok = all(rainbow >> v & 1 for v in instance.vertices_with_kind("V2"))
-        return ReductionReport(
-            variant, h.n, h.m, g.n, g.m, instance.k, three_col, "certificate", None, ok,
-            "proof coloring checked: every edge replica is colorful (the upper-bound "
-            "direction is universal and only verified exactly in full mode)",
-        )
+        detail = ("proof coloring checked: every edge replica is colorful (the upper-bound "
+                  "direction is universal and only verified exactly in full mode)")
 
-    # OLCS with H not 3-colorable: sampled colorings must split some
-    # incidence pair, which is what caps critical sets below k.
-    for _ in range(samples):
-        c = sample_proper_coloring(g, 3, rng)
-        split = False
-        for v in range(h.n):
-            inc = [
-                i
-                for i, role in enumerate(instance.roles)
-                if role.info[0] == "incidence" and role.info[1] == v
-            ]
-            if len({c.colors[i] for i in inc}) > 1:
-                split = True
+    else:
+        # OLCS with H not 3-colorable: sampled colorings must split some
+        # incidence group, which is what caps critical sets below k.
+        groups: list[list[int]] = [[] for _ in range(h.n)]
+        for i, role in enumerate(instance.roles):
+            if role.info[0] == "incidence":
+                groups[role.info[1]].append(i)
+        ok, detail = True, f"{samples} sampled colorings all split some incidence pair"
+        for _ in range(samples):
+            c = sample_proper_coloring(g, 3, rng)
+            if not any(len({c.colors[i] for i in group}) > 1 for group in groups):
+                ok, detail = False, "a sampled coloring left every incidence group monochromatic"
                 break
-        if not split:
-            return ReductionReport(
-                variant, h.n, h.m, g.n, g.m, instance.k, three_col, "certificate",
-                None, False, "a sampled coloring left every incidence group monochromatic",
-            )
-    return ReductionReport(
-        variant, h.n, h.m, g.n, g.m, instance.k, three_col, "certificate", None, True,
-        f"{samples} sampled colorings all split some incidence pair",
-    )
+
+    return ReductionReport(variant, h.n, h.m, g.n, g.m, instance.k, three_col, mode, value,
+                           ok, detail)

@@ -37,14 +37,10 @@ class ScanReport:
     def checked(self) -> int:
         return len(self.records)
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
 
 def record_for_graph(g: Graph, graph6: str | None = None,
                      max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphRecord:
-    quad = four_params(g, max_vertices)
+    quad = four_params(g, max_vertices=max_vertices)
     return GraphRecord(
         graph6 if graph6 is not None else emit_graph6(g),
         g.n,

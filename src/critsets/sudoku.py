@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .coloring import Coloring, canonical_colorings, count_colorings_extending
-from .critical import _class_masks, _difference_masks, _transversal_extremes
+from .coloring import Coloring, _class_masks, canonical_colorings, count_colorings_extending
+from .critical import _difference_masks, _transversal_extremes, is_determining
 from .errors import InternalError, InvalidParameterError, SizeLimitError, UnsupportedError
 from .graphs import Graph, VertexSet, bits
 
@@ -165,9 +165,7 @@ def random_determining_set(
     side = structure.side
     colors = board.colors
     adj = structure.graph.adj
-    class_mask = [0] * side
-    for v, c in enumerate(colors):
-        class_mask[c] |= 1 << v
+    class_mask = _class_masks(colors, side)
     order = list(range(structure.cells))
     random.Random(seed).shuffle(order)
     survivors = (1 << structure.cells) - 1
@@ -190,11 +188,10 @@ def neighbor_color_counts(structure: SudokuStructure, board: Coloring, v: int) -
 
 
 def certify_fair_puzzle(structure: SudokuStructure, board: Coloring, clues: VertexSet) -> bool:
-    """True iff the clue cells extend to exactly one board (propagation
-    plus backtracking, counting capped at 2)."""
+    """True iff the clue cells extend to exactly one board: the clues are
+    a determining set of the board."""
     _check_board(structure, board)
-    fixed = {v: board.colors[v] for v in bits(clues)}
-    return count_colorings_extending(structure.graph, structure.side, fixed, 2) == 1
+    return is_determining(structure.graph, board, clues)
 
 
 def count_puzzle_completions(structure: SudokuStructure, clues: dict[int, int], cap: int = 2) -> int:

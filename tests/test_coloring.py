@@ -143,3 +143,6 @@ def test_sample_proper_coloring_is_seeded_and_proper():
     b = sample_proper_coloring(g, 3, random.Random(9))
     assert a == b
     assert a.is_proper(g)
+    # a coloring of the wrong length is not a coloring of g
+    assert not Coloring(a.colors[:-1], 3).is_proper(g)
+    assert not Coloring(a.colors + (0,), 3).is_proper(g)

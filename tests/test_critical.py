@@ -13,7 +13,6 @@ from critsets.critical import (
     _class_masks,
     _difference_masks,
     four_params,
-    four_params_k,
     is_critical,
     is_determining,
     scs_lcs_for_coloring,
@@ -132,16 +131,16 @@ def test_is_critically_uniform():
 
 def test_four_params_k():
     c5 = make_cycle(5)
-    assert four_params_k(c5, 3).values() == four_params(c5).values()
+    assert four_params(c5, 3).values() == four_params(c5).values()
     k2 = make_complete(2)
-    quad = four_params_k(k2, 3)
+    quad = four_params(k2, 3)
     assert quad.uscs >= 1
     assert quad.values() == (2, 2, 2, 2)
-    quad4 = four_params_k(c5, 4)
+    quad4 = four_params(c5, 4)
     assert quad4.uscs <= quad4.oscs <= quad4.olcs
     assert quad4.uscs <= quad4.ulcs <= quad4.olcs
     with pytest.raises(InvalidParameterError):
-        four_params_k(c5, 2)
+        four_params(c5, 2)
 
 
 def test_four_params_k_matches_definition_on_atlas():
@@ -149,7 +148,7 @@ def test_four_params_k_matches_definition_on_atlas():
         chi = chromatic_number(g)
         if chi == 0:
             continue
-        assert four_params_k(g, chi).values() == four_params(g).values()
+        assert four_params(g, chi).values() == four_params(g).values()
 
 
 def test_engine_matches_definitional_brute_force():

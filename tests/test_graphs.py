@@ -26,6 +26,7 @@ from critsets.graphs import (
     parse_graph6,
     strong_product,
 )
+from critsets.reductions import reduce_ulcs
 
 
 def test_cycle_constructor():
@@ -121,10 +122,10 @@ def test_graph6_known_encodings():
 
 
 def test_graph6_long_form():
-    g = make_cycle(81)
-    text = emit_graph6(g)
-    assert text.startswith("~")
-    assert parse_graph6(text) == g
+    for g in (make_cycle(81), reduce_ulcs(make_complete(8)).graph):
+        text = emit_graph6(g)
+        assert text.startswith("~")
+        assert parse_graph6(text) == g
 
 
 def test_graph6_errors_carry_offsets():

@@ -10,7 +10,7 @@ from critsets.coloring import (
     colorful_vertices,
     sample_proper_coloring,
 )
-from critsets.critical import four_params
+from critsets.critical import four_params, is_determining
 from critsets.errors import InvalidParameterError
 from critsets.graphs import (
     bits,
@@ -135,6 +135,24 @@ def test_forced_vertices():
     forced = forced_vertices(inst.graph, coloring)
     for r in replicas:
         assert forced >> r & 1
+
+    # v is forced exactly when the rest of V does not determine the coloring
+    cases = [
+        (g, Coloring(tup, k))
+        for n in range(6)
+        for g in enumerate_graphs(n)
+        for k in (chromatic_number(g), chromatic_number(g) + 1)
+        for tup in canonical_colorings(g, k)
+    ]
+    rng = random.Random(0)
+    for h in (make_complete(3), make_complete(4), make_path(3), make_cycle(5)):
+        for g in (reduce_ulcs(h).graph, reduce_olcs(h).graph):
+            cases += [(g, sample_proper_coloring(g, 3, rng)) for _ in range(3)]
+    for g, coloring in cases:
+        full = (1 << g.n) - 1
+        expected = sum(1 << v for v in range(g.n)
+                       if not is_determining(g, coloring, full ^ 1 << v))
+        assert forced_vertices(g, coloring) == expected
 
 
 def test_forced_vertices_lie_in_every_witness():
