@@ -10,12 +10,18 @@ else: the critical sets of c are the minimal transversals of its minimal
 difference masks.  The mask kernel (`_difference_masks`, then the walk in
 `_transversal_extremes`) gives the extremes for `scs_lcs_for_coloring`,
 `four_params` and `sudoku.mnc_exhaustive`.  Point checks on one given set
-go through `_determines` instead (behind `is_determining`, `is_critical`,
-`prune_to_critical` and the fair-puzzle and reduction certificates), the
-propagation counter `_count` capped at 2, which needs no enumeration and
-so also runs on order-3 boards and on the large gadget graphs.  The
-vertices in every determining set need neither: they are the vertices
-that are not colorful (`forced_vertices`).
+go through `_determines` instead (behind `is_determining`, `is_critical`
+and the fair-puzzle certificate), the propagation counter `_count` capped
+at 2, which needs no enumeration and so also runs on order-3 boards and on
+the large gadget graphs.  Dropping one vertex v from a set already known
+to determine the coloring goes through `_still_determines`, which counts
+on v's free region alone: the minimality loop of `is_critical` and every
+step of `prune_to_critical` hold that precondition, so a certificate on a
+gadget graph costs about linear time instead of one whole-graph count per
+vertex.  The precondition needs a proper coloring, so every point check
+rejects an improper one.  The vertices in every determining set need no
+count at all: they are the vertices that are not colorful
+(`forced_vertices`).
 
 Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
@@ -97,30 +103,69 @@ def _determines(nbrs, coloring: Coloring, subset: VertexSet) -> bool:
     return _count(nbrs, allowed, 0, queue, 2) == 1
 
 
+def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bool:
+    """For a `subset` that determines the coloring: whether subset - {v}
+    still does.
+
+    Only the free region around v can gain a second extension: every free
+    component of `subset` that v does not touch keeps the unique extension
+    it already had.  So the count runs on v's merged free component alone,
+    each vertex allowed the palette minus the colors of its fixed
+    neighbors.
+    """
+    colors = coloring.colors
+    index = {v: 0}
+    region = [v]
+    for u in region:
+        for w in nbrs[u]:
+            if w not in index and not subset >> w & 1:
+                index[w] = len(region)
+                region.append(w)
+    full = (1 << coloring.k) - 1
+    local = []
+    allowed = []
+    for u in region:
+        dom = full
+        adj = []
+        for w in nbrs[u]:
+            i = index.get(w)
+            if i is None:
+                dom &= ~(1 << colors[w])
+            else:
+                adj.append(i)
+        if not dom:
+            return False
+        local.append(adj)
+        allowed.append(dom)
+    queue = [i for i, dom in enumerate(allowed) if not dom & (dom - 1)]
+    return _count(local, allowed, 0, queue, 2) == 1
+
+
 def is_determining(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
     """True iff the coloring restricted to `subset` extends uniquely."""
-    if subset >> g.n:
-        raise InvalidParameterError("subset has bits beyond vertex range")
+    _check_point(g, coloring, subset)
     return _determines(_neighbor_lists(g), coloring, subset)
 
 
 def is_critical(g: Graph, coloring: Coloring, subset: VertexSet) -> CriticalCertificate:
     """Determining plus minimality flags for (g, coloring, subset)."""
+    _check_point(g, coloring, subset)
     nbrs = _neighbor_lists(g)
     det = _determines(nbrs, coloring, subset)
-    minimal = det and not any(_determines(nbrs, coloring, subset ^ (1 << v)) for v in bits(subset))
+    minimal = det and not any(_still_determines(nbrs, coloring, subset, v) for v in bits(subset))
     return CriticalCertificate(coloring, subset, det, minimal)
 
 
 def prune_to_critical(g: Graph, coloring: Coloring, order: list[int]) -> VertexSet:
     """Greedy single-pass pruning from the full vertex set; the survivor
-    set is inclusion-minimal determining (monotonicity)."""
+    set is inclusion-minimal determining (monotonicity) once `order` has
+    named every vertex."""
+    _check_proper(g, coloring)
     nbrs = _neighbor_lists(g)
     subset = (1 << g.n) - 1
     for v in order:
-        trial = subset ^ (1 << v)
-        if _determines(nbrs, coloring, trial):
-            subset = trial
+        if subset >> v & 1 and _still_determines(nbrs, coloring, subset, v):
+            subset ^= 1 << v
     return subset
 
 
@@ -237,6 +282,12 @@ def _check_proper(g: Graph, coloring: Coloring):
         raise InvalidParameterError("coloring length must equal vertex count")
     if not coloring.is_proper(g):
         raise InvalidParameterError("coloring is not proper")
+
+
+def _check_point(g: Graph, coloring: Coloring, subset: VertexSet):
+    if subset >> g.n:
+        raise InvalidParameterError("subset has bits beyond vertex range")
+    _check_proper(g, coloring)
 
 
 def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):

@@ -7,6 +7,7 @@ return fresh graphs and never mutate.
 
 from __future__ import annotations
 
+import base64
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -265,6 +266,9 @@ def induced_subgraph(g: Graph, vertex_mask: VertexSet) -> tuple[Graph, list[int]
 # graph6 interchange format
 
 _G6_MAX_LONG = 258047  # largest n encodable with the single '~' header
+_G6_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -277,23 +281,18 @@ def emit_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     else:
         raise InvalidParameterError(f"graph6 output capped at {_G6_MAX_LONG} vertices")
-    nbits = n * (n - 1) // 2
-    buf = []
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                buf.append(chr(63 + acc))
-                acc = 0
-                filled = 0
-    if filled:
-        buf.append(chr(63 + (acc << (6 - filled))))
-    assert len(buf) == (nbits + 5) // 6
-    return head + "".join(buf)
+    # Columns 1..48m hold 24m(48m + 1) bits, whole 24-bit base64 groups, so
+    # each block of 48 columns packs on its own and the bit string stays
+    # small; only the last block needs zero padding.
+    out = []
+    for start in range(1, n, 48):
+        cols = range(start, min(start + 48, n))
+        # rows 0..j-1 of column j, row 0 first
+        block = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in cols)
+        block += "0" * (-len(block) % 24)
+        out.append(base64.b64encode(int(block, 2).to_bytes(len(block) // 8, "big")))
+    body = b"".join(out).translate(_G6_FROM_BASE64).decode("ascii")
+    return head + body[: (n * (n - 1) // 2 + 5) // 6]
 
 
 def parse_graph6(text: str) -> Graph:

@@ -7,8 +7,9 @@ from __future__ import annotations
 import multiprocessing
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
-from .coloring import DEFAULT_MAX_VERTICES, chromatic_number, is_uniquely_colorable
+from .coloring import DEFAULT_MAX_VERTICES, canonical_colorings
 from .critical import four_params
 from .errors import Graph6Error
 from .graphs import Graph, emit_graph6, parse_graph6
@@ -41,12 +42,13 @@ class ScanReport:
 def record_for_graph(g: Graph, graph6: str | None = None,
                      max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphRecord:
     quad = four_params(g, max_vertices=max_vertices)
+    chi = quad.witnesses["uscs"][0].k  # four_params colors with chi colors
     return GraphRecord(
         graph6 if graph6 is not None else emit_graph6(g),
         g.n,
-        chromatic_number(g, max_vertices),
+        chi,
         quad.values(),
-        is_uniquely_colorable(g, max_vertices),
+        len(list(islice(canonical_colorings(g, chi), 2))) == 1,
         quad.uniform_value(),
     )
 

@@ -190,7 +190,9 @@ def neighbor_color_counts(structure: SudokuStructure, board: Coloring, v: int) -
 def certify_fair_puzzle(structure: SudokuStructure, board: Coloring, clues: VertexSet) -> bool:
     """True iff the clue cells extend to exactly one board: the clues are
     a determining set of the board."""
-    _check_board(structure, board)
+    if board.k != structure.side:
+        raise InvalidParameterError("board shape does not match the structure")
+    # is_determining rejects an improper board: one properness scan
     return is_determining(structure.graph, board, clues)
 
 

@@ -4,17 +4,23 @@ import pytest
 
 from critsets.coloring import (
     Coloring,
+    _neighbor_lists,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
     enumerate_optimal_colorings,
+    is_uniquely_colorable,
+    sample_proper_coloring,
 )
 from critsets.critical import (
     _class_masks,
+    _determines,
     _difference_masks,
+    _still_determines,
     four_params,
     is_critical,
     is_determining,
+    prune_to_critical,
     scs_lcs_for_coloring,
 )
 from critsets.errors import InvalidParameterError, SizeLimitError
@@ -28,7 +34,9 @@ from critsets.graphs import (
     make_path,
     mask_of,
 )
+from critsets.reductions import reduce_olcs, reduce_ulcs
 from critsets.scan import implication_holds, record_for_graph
+from critsets.sudoku import random_board, sudoku_graph
 
 C4_COLORING = Coloring((0, 1, 0, 1), 2)
 
@@ -54,6 +62,66 @@ def test_is_critical_examples():
         coloring = next(iter(enumerate_optimal_colorings(g)))
         cert = is_critical(g, coloring, 0)
         assert not cert.determining and not cert.minimal
+
+
+def test_point_checks_reject_malformed_colorings():
+    # too short, too long, and improper colorings of P3: the drop check's
+    # precondition (the coloring extends the subset) needs a proper one
+    p3 = make_path(3)
+    for bad in (Coloring((0, 1), 2), Coloring((0, 1, 0, 1), 2), Coloring((0, 0, 1), 2)):
+        with pytest.raises(InvalidParameterError):
+            is_determining(p3, bad, 0b001)
+        with pytest.raises(InvalidParameterError):
+            is_critical(p3, bad, 0b001)
+        with pytest.raises(InvalidParameterError):
+            prune_to_critical(p3, bad, [0, 1, 2])
+
+
+def test_drop_check_matches_full_check():
+    # for a determining subset, counting on v's free region alone decides
+    # whether subset - {v} still determines, as the whole-graph count does
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            nbrs = _neighbor_lists(g)
+            chi = chromatic_number(g)
+            for k in (chi, chi + 1):
+                for tup in canonical_colorings(g, k):
+                    coloring = Coloring(tup, k)
+                    for subset in range(1 << g.n):
+                        if not _determines(nbrs, coloring, subset):
+                            continue
+                        for v in bits(subset):
+                            expected = _determines(nbrs, coloring, subset ^ 1 << v)
+                            assert _still_determines(nbrs, coloring, subset, v) == expected, (
+                                g.adj, tup, subset, v)
+
+
+def _reference_prune(g, coloring, order):
+    subset = (1 << g.n) - 1
+    for v in order:
+        if is_determining(g, coloring, subset ^ 1 << v):
+            subset ^= 1 << v
+    return subset
+
+
+def test_prune_to_critical_matches_whole_graph_checks():
+    rng = random.Random(3)
+    cases = []
+    structure = sudoku_graph(3)
+    for _ in range(5):
+        cases.append((structure.graph, random_board(3, rng)))
+    for h in (make_complete(3), make_path(3), make_cycle(5)):
+        for reduce in (reduce_ulcs, reduce_olcs):
+            g = reduce(h).graph
+            cases += [(g, sample_proper_coloring(g, 3, rng)) for _ in range(2)]
+    for g, coloring in cases:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        subset = prune_to_critical(g, coloring, order)
+        assert subset == _reference_prune(g, coloring, order)
+        assert is_critical(g, coloring, subset).minimal
+        # a vertex named twice stays dropped
+        assert prune_to_critical(g, coloring, order + order) == subset
 
 
 def test_scs_lcs_for_coloring():
@@ -200,14 +268,14 @@ def test_prop1_and_converse_on_small_atlas():
     for n in range(6):
         for g in enumerate_graphs(n):
             rec = record_for_graph(g)
+            assert rec.chi == chromatic_number(g)
+            assert rec.uniquely_colorable == is_uniquely_colorable(g)
             assert implication_holds("prop1", rec)
             assert implication_holds("converse", rec)
 
 
 def test_pendant_triangle_is_uniform_but_not_uniquely_colorable():
     g = add_pendant_to_each(make_complete(3))
-    from critsets.coloring import is_uniquely_colorable
-
     assert four_params(g).uniform_value() == 4
     assert not is_uniquely_colorable(g)
     assert chromatic_number(g) == 3

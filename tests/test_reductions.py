@@ -14,6 +14,7 @@ from critsets.critical import four_params, is_determining
 from critsets.errors import InvalidParameterError
 from critsets.graphs import (
     bits,
+    cartesian_product,
     enumerate_graphs,
     is_bipartite,
     make_complete,
@@ -189,6 +190,13 @@ def test_verify_certificate_modes():
     # sampling a coloring must not recurse once per vertex
     rep = verify_reduction_small(make_complete(8), "ulcs")
     assert rep.g_vertices == 1047 and rep.consistent
+
+    # the 2091-vertex gadget of K3 x K3: pruning the lifted coloring must
+    # leave a certified critical set of 2079 vertices, above k = 2054
+    rep = verify_reduction_small(cartesian_product(make_complete(3), make_complete(3)), "olcs")
+    assert rep.mode == "certificate" and rep.consistent
+    assert (rep.g_vertices, rep.k) == (2091, 2054)
+    assert rep.detail.startswith("certified critical set of size 2079 ")
 
 
 def test_role_map_json():
