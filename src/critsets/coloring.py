@@ -3,6 +3,8 @@ enumeration, and capped extension counting for partial assignments.
 
 Colorings are quotiented by palette permutation throughout; the canonical
 orbit representative assigns colors in first-use order by vertex index.
+The extension counter `_count` walks adjacency lists, and every caller
+passes `Graph.neighbor_lists`, which each graph builds once.
 """
 
 from __future__ import annotations
@@ -46,11 +48,7 @@ def _class_masks(colors, k: int) -> list[int]:
     return classes
 
 
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [g.neighbors(v) for v in range(g.n)]
-
-
-def _count(nbrs: list[list[int]], allowed: list[int], fixed: int, queue: list[int], cap: int) -> int:
+def _count(nbrs, allowed: list[int], fixed: int, queue: list[int], cap: int) -> int:
     """Count completions of `allowed` (bitmask per vertex), truncated at cap.
 
     Unit propagation first (a singleton vertex removes its color from all
@@ -110,7 +108,7 @@ def count_colorings_extending(g: Graph, k: int, fixed_colors: Mapping[int, int],
             raise InvalidParameterError(f"assignment {v}->{c} out of range")
         allowed[v] = 1 << c
         queue.append(v)
-    return _count(_neighbor_lists(g), allowed, 0, queue, cap)
+    return _count(g.neighbor_lists, allowed, 0, queue, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,7 @@ def chromatic_number(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
     clique = _greedy_clique(g)
     lo = clique.bit_count()
     hi = _greedy_color_count(g)
-    nbrs = _neighbor_lists(g)
+    nbrs = g.neighbor_lists
     for k in range(lo, hi):
         full = (1 << k) - 1
         allowed = [full] * g.n

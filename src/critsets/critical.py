@@ -40,7 +40,6 @@ from .coloring import (
     Coloring,
     _class_masks,
     _count,
-    _neighbor_lists,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -144,13 +143,13 @@ def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bo
 def is_determining(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
     """True iff the coloring restricted to `subset` extends uniquely."""
     _check_point(g, coloring, subset)
-    return _determines(_neighbor_lists(g), coloring, subset)
+    return _determines(g.neighbor_lists, coloring, subset)
 
 
 def is_critical(g: Graph, coloring: Coloring, subset: VertexSet) -> CriticalCertificate:
     """Determining plus minimality flags for (g, coloring, subset)."""
     _check_point(g, coloring, subset)
-    nbrs = _neighbor_lists(g)
+    nbrs = g.neighbor_lists
     det = _determines(nbrs, coloring, subset)
     minimal = det and not any(_still_determines(nbrs, coloring, subset, v) for v in bits(subset))
     return CriticalCertificate(coloring, subset, det, minimal)
@@ -161,7 +160,7 @@ def prune_to_critical(g: Graph, coloring: Coloring, order: list[int]) -> VertexS
     set is inclusion-minimal determining (monotonicity) once `order` has
     named every vertex."""
     _check_proper(g, coloring)
-    nbrs = _neighbor_lists(g)
+    nbrs = g.neighbor_lists
     subset = (1 << g.n) - 1
     for v in order:
         if subset >> v & 1 and _still_determines(nbrs, coloring, subset, v):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import base64
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import Graph6Error, InvalidParameterError, SizeLimitError
 
@@ -83,6 +83,12 @@ class Graph:
 
     def neighbors(self, v: int) -> list[int]:
         return bits(self.adj[v])
+
+    @cached_property
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's neighbors, ascending, built once per graph (kept in
+        the instance __dict__, which equality and hashing ignore)."""
+        return tuple(tuple(bits(row)) for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []

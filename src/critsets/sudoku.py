@@ -91,42 +91,55 @@ def _check_board(structure: SudokuStructure, board: Coloring):
 
 def _board_search(n: int, rng: random.Random | None, collect: list | None) -> tuple[int, ...] | None:
     """Backtracking board fill; collects all boards or returns the first
-    (with rng-shuffled candidate orders when sampling)."""
+    (with rng-shuffled candidate orders when sampling).  Cells are filled
+    in index order from an explicit stack, so no board size meets the
+    recursion limit."""
     side = n * n
     cells = side * side
     full = (1 << side) - 1
-    row_used = [0] * side
-    col_used = [0] * side
-    box_used = [0] * side
-    colors = [0] * cells
-
-    def rec(v: int):
-        if v == cells:
-            if collect is not None:
-                collect.append(tuple(colors))
-                return None
+    # per cell, its row, column and box slots in `used`
+    slots = [(r, side + c, 2 * side + (r // n) * n + c // n)
+             for r, c in (divmod(v, side) for v in range(cells))]
+    used = [0] * (3 * side)
+    colors = [-1] * cells
+    untried: list[list[int]] = []  # per entered cell, next color last
+    v = 0
+    while True:
+        if v < cells:
+            r, c, b = slots[v]
+            cands = bits(full & ~(used[r] | used[c] | used[b]))
+            if rng is not None:
+                rng.shuffle(cands)
+            cands.reverse()
+            untried.append(cands)
+        elif collect is None:
             return tuple(colors)
-        r, c = divmod(v, side)
-        b = (r // n) * n + c // n
-        avail = full & ~(row_used[r] | col_used[c] | box_used[b])
-        cands = bits(avail)
-        if rng is not None:
-            rng.shuffle(cands)
-        for col in cands:
-            bit = 1 << col
-            row_used[r] |= bit
-            col_used[c] |= bit
-            box_used[b] |= bit
-            colors[v] = col
-            got = rec(v + 1)
-            row_used[r] ^= bit
-            col_used[c] ^= bit
-            box_used[b] ^= bit
-            if got is not None:
-                return got
-        return None
-
-    return rec(0)
+        else:
+            collect.append(tuple(colors))
+        # the deepest cell with an untried color takes it; exhausted cells
+        # are cleared on the way up
+        while untried:
+            v = len(untried) - 1
+            r, c, b = slots[v]
+            if colors[v] >= 0:
+                bit = 1 << colors[v]
+                used[r] ^= bit
+                used[c] ^= bit
+                used[b] ^= bit
+            cands = untried[-1]
+            if cands:
+                col = cands.pop()
+                bit = 1 << col
+                used[r] |= bit
+                used[c] |= bit
+                used[b] |= bit
+                colors[v] = col
+                v += 1
+                break
+            colors[v] = -1
+            untried.pop()
+        else:
+            return None
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +181,15 @@ def random_determining_set(
     class_mask = _class_masks(colors, side)
     order = list(range(structure.cells))
     random.Random(seed).shuffle(order)
+    # per color: the class masks of the other colors
+    others = [class_mask[:own] + class_mask[own + 1:] for own in range(side)]
     survivors = (1 << structure.cells) - 1
     for v in order:
-        own = colors[v]
         row = adj[v] & survivors
-        if all(row & class_mask[c] for c in range(side) if c != own):
+        for mask in others[colors[v]]:
+            if not row & mask:
+                break
+        else:
             survivors ^= 1 << v
     return survivors
 
@@ -312,6 +329,8 @@ def parse_board_text(text: str) -> tuple[int, dict[int, int]]:
     """Parse the puzzle format back to (order, {cell: color})."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     side = len(rows)
+    if not side:
+        raise InvalidParameterError("text has no board rows")
     n = isqrt(side)
     if n * n != side:
         raise InvalidParameterError(f"{side} lines is not a square side length")

@@ -153,6 +153,10 @@ def test_sudoku_certify(capsys, tmp_path):
     assert code == 0 and out.startswith("unfair")
     code, _, _ = run_cli(capsys, "sudoku", "certify", str(tmp_path / "missing.txt"))
     assert code == 1
+    blank = tmp_path / "blank.txt"
+    blank.write_text("")
+    code, _, err = run_cli(capsys, "sudoku", "certify", str(blank))
+    assert code == 1 and "no board rows" in err
     code, out, _ = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", "5")
     assert code == 0 and out.strip() == "unfair (5+ completions)"
     code, out, _ = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", "500")

@@ -4,7 +4,6 @@ import pytest
 
 from critsets.coloring import (
     Coloring,
-    _neighbor_lists,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -82,7 +81,7 @@ def test_drop_check_matches_full_check():
     # whether subset - {v} still determines, as the whole-graph count does
     for n in range(6):
         for g in enumerate_graphs(n):
-            nbrs = _neighbor_lists(g)
+            nbrs = g.neighbor_lists
             chi = chromatic_number(g)
             for k in (chi, chi + 1):
                 for tup in canonical_colorings(g, k):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import networkx as nx
@@ -9,6 +10,7 @@ from critsets.graphs import (
     add_pendant_to_each,
     atlas_graphs,
     bipartition,
+    bits,
     canonical_form,
     cartesian_product,
     complement,
@@ -27,6 +29,7 @@ from critsets.graphs import (
     strong_product,
 )
 from critsets.reductions import reduce_olcs, reduce_ulcs
+from critsets.sudoku import sudoku_graph
 
 
 def test_cycle_constructor():
@@ -151,6 +154,24 @@ def test_graph6_emit_matches_bitwise_reference():
     graphs.append(reduce_olcs(cartesian_product(make_complete(3), make_complete(3))).graph)
     for g in graphs:
         assert emit_graph6(g) == _emit_graph6_bitwise(g), g.n
+
+
+def test_neighbor_lists_are_cached_rows():
+    graphs = [g for n in range(7) for g in atlas_graphs(n)]
+    graphs.append(sudoku_graph(3).graph)
+    graphs.append(reduce_olcs(cartesian_product(make_complete(3), make_complete(3))).graph)
+    for g in graphs:
+        key = hash(g)
+        copy = Graph(g.n, g.adj)
+        lists = g.neighbor_lists
+        assert [list(nbrs) for nbrs in lists] == [bits(row) for row in g.adj]
+        assert g.neighbor_lists is lists
+        # the cache is not a field: equality and hashing ignore it
+        assert g == copy and hash(g) == key == hash(copy)
+        # the path graphs take to scan's worker processes
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == key
+        assert back.neighbor_lists == lists
 
 
 def test_graph6_long_form():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -96,6 +97,78 @@ def test_boards_enumeration_matches_extension_count():
         assert Coloring(colors, 4).is_proper(g)
 
 
+def _board_search_recursive(n, rng, collect):
+    """Reference board fill: the recursive backtracking search, one call
+    per cell, trying candidates in the same (shuffled) order."""
+    side = n * n
+    cells = side * side
+    full = (1 << side) - 1
+    row_used = [0] * side
+    col_used = [0] * side
+    box_used = [0] * side
+    colors = [0] * cells
+
+    def rec(v):
+        if v == cells:
+            if collect is not None:
+                collect.append(tuple(colors))
+                return None
+            return tuple(colors)
+        r, c = divmod(v, side)
+        b = (r // n) * n + c // n
+        cands = bits(full & ~(row_used[r] | col_used[c] | box_used[b]))
+        if rng is not None:
+            rng.shuffle(cands)
+        for col in cands:
+            bit = 1 << col
+            row_used[r] |= bit
+            col_used[c] |= bit
+            box_used[b] |= bit
+            colors[v] = col
+            got = rec(v + 1)
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+            box_used[b] ^= bit
+            if got is not None:
+                return got
+        return None
+
+    return rec(0)
+
+
+def test_board_search_matches_recursive_reference():
+    for n in (1, 2, 3):
+        for seed in range(40):
+            expected = _board_search_recursive(n, random.Random(seed), None)
+            assert random_board(n, random.Random(seed)).colors == expected, (n, seed)
+    # pinned: the row-major board, 1-based
+    board = random_board(3, random.Random(0))
+    assert "".join(str(c + 1) for c in board.colors) == (
+        "872593146346271598915846327567928431439157862128364975784619253653482719291735684")
+    for n in (1, 2):
+        boards = []
+        _board_search_recursive(n, None, boards)
+        assert all_boards(n) == tuple(boards)
+
+
+def test_random_board_needs_no_recursion_depth():
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)  # fewer frames than the 81 cells
+    try:
+        with pytest.raises(RecursionError):
+            _board_search_recursive(3, random.Random(5), None)
+        board = random_board(3, random.Random(5))
+    finally:
+        sys.setrecursionlimit(old)
+    assert board.colors == _board_search_recursive(3, random.Random(5), None)
+    assert board.is_proper(sudoku_graph(3).graph)
+
+
 def test_random_determining_set_order_one():
     s = sudoku_graph(1)
     assert random_determining_set(s, canonical_board(1), seed=0) == 0
@@ -122,6 +195,11 @@ def test_trial_campaign():
     assert stats.trials == 50 and len(stats.sizes) == 50
     assert stats.mean < 16
     assert trial_campaign(2, 50, seed=1) == stats
+    # pinned: any rewrite of the board search or the thinning must keep these
+    assert trial_campaign(3, 20, seed=1).sizes == (
+        45, 45, 44, 42, 40, 45, 40, 41, 45, 38, 44, 43, 42, 43, 37, 41, 49, 41, 41, 42)
+    assert trial_campaign(2, 20, seed=1).sizes == (
+        6, 8, 8, 11, 5, 6, 6, 6, 8, 6, 6, 6, 6, 5, 7, 8, 7, 7, 8, 6)
     empty = trial_campaign(2, 0, seed=1)
     assert empty.trials == 0 and empty.sizes == () and empty.mean is None
     with pytest.raises(InvalidParameterError):
@@ -201,6 +279,9 @@ def test_board_text_errors():
     bad = format_board(2, canonical_board(2).colors).replace("1", "9", 1)
     with pytest.raises(InvalidParameterError):
         parse_board_text(bad)
+    for blank in ("", "\n \n"):
+        with pytest.raises(InvalidParameterError, match="no board rows"):
+            parse_board_text(blank)
 
 
 def test_count_puzzle_completions():
