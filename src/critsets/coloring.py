@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import InvalidParameterError, SizeLimitError
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet, _orbit_roots, automorphism_generators, bits
 
 DEFAULT_MAX_VERTICES = 20
 
@@ -203,6 +203,29 @@ def canonical_colorings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
                 yield from rec(v + 1, max(used, c + 1))
 
     yield from rec(0, 0)
+
+
+def _orbit_leaders(g: Graph, tuples: list[tuple[int, ...]]) -> list[int]:
+    """Indices into `tuples`, the output of `canonical_colorings(g, k)` in
+    its order, of the earliest member of each Aut(g) x S_k orbit.
+
+    A generator s of Aut(g) moves a coloring c to c o s^-1 (vertex s(v)
+    takes c(v)); putting that back in first-use palette form names its
+    palette orbit, so each generator permutes the indices of `tuples`.
+    """
+    generators = automorphism_generators(g) if len(tuples) > 1 else []
+    index = {tup: i for i, tup in enumerate(tuples)} if generators else {}
+    moves = []
+    for perm in generators:
+        inverse = [0] * g.n
+        for v, w in enumerate(perm):
+            inverse[w] = v
+        move = []
+        for tup in tuples:
+            relabel: dict[int, int] = {}
+            move.append(index[tuple([relabel.setdefault(tup[v], len(relabel)) for v in inverse])])
+        moves.append(move)
+    return [i for i, r in enumerate(_orbit_roots(len(tuples), moves)) if r == i]
 
 
 def enumerate_optimal_colorings(

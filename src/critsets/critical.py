@@ -27,6 +27,16 @@ Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
 a disconnected graph are sums of per-component extremes.  Palette size is
 the whole graph's, since components may not use all colors.
+
+Per component, the extremes run once per Aut x S_k orbit of colorings, not
+once per palette orbit: an automorphism s maps the critical sets of c to
+critical sets of c o s^-1 of the same sizes, so a whole orbit shares scs
+and lcs.  The kernel runs on the earliest member of each orbit in
+`canonical_colorings` order (`coloring._orbit_leaders`, on the generators
+from `graphs.automorphism_generators`), still against every palette-orbit
+representative.  The witnesses do not move: `min` and `max` keep the first
+coloring that attains an extreme, and that coloring is the earliest of its
+orbit, so it is among those searched, with its own least set.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .coloring import (
     Coloring,
     _class_masks,
     _count,
+    _orbit_leaders,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -291,14 +302,19 @@ def _check_point(g: Graph, coloring: Coloring, subset: VertexSet):
 
 def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
     """Per connected component: its vertices, and (colors, scs, scs set,
-    lcs, lcs set) for each palette-orbit representative of its proper
-    k-colorings, or only for the restriction of `coloring` when given.
-    Colors and sets are in the component's own indices."""
+    lcs, lcs set) for the earliest palette-orbit representative of each
+    Aut x S_k orbit of its proper k-colorings, or only for the restriction
+    of `coloring` when given.  Colors and sets are in the component's own
+    indices."""
     for comp in connected_components(g):
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
-        reps = owns = [_class_masks(tup, k) for tup in tuples]
-        if coloring is not None:
+        reps = [_class_masks(tup, k) for tup in tuples]
+        if coloring is None:
+            leaders = _orbit_leaders(sub, tuples)
+            tuples = [tuples[i] for i in leaders]
+            owns = [reps[i] for i in leaders]
+        else:
             tuples = [tuple(coloring.colors[v] for v in verts)]
             owns = [_class_masks(tuples[0], k)]
         masks = _difference_masks(owns, reps, sub.n)

@@ -369,6 +369,131 @@ def _refine(g: Graph) -> list[int]:
         classes = new
 
 
+def _equitable(g: Graph, cells: list[VertexSet]) -> list[VertexSet]:
+    """Coarsest equitable refinement of the ordered partition `cells`:
+    split every cell by its vertices' neighbor counts in each cell, pieces
+    in ascending order of those counts, until no cell splits.  Nothing
+    depends on vertex labels, so refinement commutes with relabelling."""
+    adj = g.adj
+    width = g.n.bit_length()
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            pieces: dict[int, VertexSet] = {}
+            for v in bits(cell):
+                key = 0  # the counts as fixed-width digits, first cell highest
+                for c in cells:
+                    key = key << width | (adj[v] & c).bit_count()
+                pieces[key] = pieces.get(key, 0) | 1 << v
+            out.extend(pieces[key] for key in sorted(pieces))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _target(cells: list[VertexSet]) -> int:
+    """Position of the first non-singleton cell: the cell to branch on."""
+    return next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+
+
+def _individualize(cells: list[VertexSet], t: int, v: int) -> list[VertexSet]:
+    """Split v off cell t, the singleton first."""
+    return cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1:]
+
+
+def _leaf_automorphism(g: Graph, first: list[int], leaf: list[VertexSet]):
+    """The permutation sending the first leaf's i-th vertex to this
+    discrete partition's i-th vertex, if it preserves adjacency."""
+    perm = [0] * g.n
+    for v, cell in zip(first, leaf):
+        perm[v] = cell.bit_length() - 1
+    for v, row in enumerate(g.adj):
+        image = 0
+        for w in bits(row):
+            image |= 1 << perm[w]
+        if image != g.adj[perm[v]]:
+            return None
+    return tuple(perm)
+
+
+def _orbit_roots(size: int, maps) -> list[int]:
+    """Per element of range(size): the least element of its orbit under the
+    group generated by the permutations `maps` (union-find)."""
+    root = list(range(size))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for m in maps:
+        for i, j in enumerate(m):
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(i) for i in range(size)]
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each as the tuple of vertex images.
+
+    Individualization-refinement (McKay-Piperno, Practical graph
+    isomorphism II, 2014), without canonical labelling: the first path
+    individualizes the least vertex of the first non-singleton cell until
+    the equitable partition is discrete.  Then, deepest level first, each
+    other vertex w of that level's cell whose orbit under the generators
+    found so far is new is individualized instead, and its subtree is
+    searched for a leaf that maps the first leaf by an automorphism.
+    Nodes whose cell sizes differ from the first path's at the same depth
+    are cut.  Every generator found fixes the path above its level, so a
+    new one is needed exactly when w's orbit under the stabilizer is not
+    reached yet, and the generators found generate Aut(g).  Every leaf is
+    accepted only after an adjacency check.  An asymmetric graph whose
+    first refinement is already discrete returns at once.
+    """
+    n = g.n
+    cells = _equitable(g, [(1 << n) - 1] if n else [])
+    path = []  # per level: the partition branched on, its target, the shape after
+    while len(cells) < n:
+        t = _target(cells)
+        before = cells
+        cells = _equitable(g, _individualize(cells, t, bits(cells[t])[0]))
+        path.append((before, t, [cell.bit_count() for cell in cells]))
+    first = [cell.bit_length() - 1 for cell in cells]
+
+    def search(cells: list[VertexSet], level: int):
+        cells = _equitable(g, cells)
+        if [cell.bit_count() for cell in cells] != path[level][2]:
+            return None
+        if len(cells) == n:
+            return _leaf_automorphism(g, first, cells)
+        t = _target(cells)
+        for w in bits(cells[t]):
+            found = search(_individualize(cells, t, w), level + 1)
+            if found is not None:
+                return found
+        return None
+
+    generators: list[tuple[int, ...]] = []
+    for level in range(len(path) - 1, -1, -1):
+        before, t, _ = path[level]
+        tried = [bits(before[t])[0]]
+        roots = _orbit_roots(n, generators)
+        for w in bits(before[t])[1:]:
+            if roots[w] in {roots[u] for u in tried}:
+                continue
+            tried.append(w)
+            found = search(_individualize(before, t, w), level)
+            if found is not None:
+                generators.append(found)
+                roots = _orbit_roots(n, generators)
+    return generators
+
+
 def _encode(g: Graph, order: tuple[int, ...]) -> int:
     """Upper-triangle bit string of g relabelled by `order`, MSB first."""
     code = 0

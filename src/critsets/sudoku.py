@@ -14,8 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .coloring import Coloring, _class_masks, canonical_colorings, count_colorings_extending
-from .critical import _difference_masks, _transversal_extremes, is_determining
+from .coloring import (
+    Coloring,
+    _class_masks,
+    _orbit_leaders,
+    canonical_colorings,
+    count_colorings_extending,
+)
+from .critical import _determines, _difference_masks, _transversal_extremes, is_determining
 from .errors import InternalError, InvalidParameterError, SizeLimitError, UnsupportedError
 from .graphs import Graph, VertexSet, bits
 
@@ -255,7 +261,8 @@ def trial_campaign(n: int, trials: int, seed: int = 0, certify: bool = True) -> 
         else:
             board = random_board(3, master)
         survivors = random_determining_set(structure, board, seed=master.getrandbits(32))
-        if certify and not certify_fair_puzzle(structure, board, survivors):
+        # random_determining_set has just checked the board: count unchecked
+        if certify and not _determines(structure.graph.neighbor_lists, board, survivors):
             raise InternalError("thinning process produced a non-determining set")
         sizes.append(survivors.bit_count())
     if not sizes:
@@ -283,17 +290,23 @@ def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     A clue set is fair iff it hits every difference mask of the board
     against the other 287 boards, so a board's smallest fair puzzle is the
     minimum transversal of its masks: the mask kernel behind uscs in
-    `critical.four_params`, bounded by the best clue count so far.  With
-    `symmetry` on, only the 12 palette-orbit representatives are searched;
-    both modes return the same minimum.  A given clue set is checked by
+    `critical.four_params`, bounded by the best clue count so far.  Boards
+    in one Aut x S_4 orbit have the same minimum, so with `symmetry` on only
+    the earliest palette-orbit representative of each orbit is searched (2
+    boards, chosen as in `four_params`); with it off, all 288 boards are.
+    Both modes return the same minimum.  A given clue set is checked by
     `certify_fair_puzzle`, the propagation counter that also runs at order 3.
     """
     if n != 2:
         raise UnsupportedError("exhaustive minimum-clue search is only supported at order 2")
     side, cells = 4, 16
-    orbit_reps = list(canonical_colorings(sudoku_graph(2).graph, side))
+    graph = sudoku_graph(2).graph
+    orbit_reps = list(canonical_colorings(graph, side))
     reps = [_class_masks(r, side) for r in orbit_reps]
-    candidates = orbit_reps if symmetry else all_boards(2)
+    if symmetry:
+        candidates = [orbit_reps[i] for i in _orbit_leaders(graph, orbit_reps)]
+    else:
+        candidates = all_boards(2)
     owns = (_class_masks(board, side) for board in candidates)
     best = None
     for board, masks in zip(candidates, _difference_masks(owns, reps, cells)):

@@ -25,10 +25,8 @@ def brute_force_four_params(g: Graph) -> tuple[int, int, int, int]:
 
     Enumerates every proper chi-coloring (no orbit quotient), tests
     determining by counting agreeing colorings, and takes inclusion-minimal
-    sets as critical.  Exponential everywhere; fine below ~6 vertices.
+    sets as critical.  Exponential everywhere; fine up to 6 vertices.
     """
-    from itertools import combinations
-
     edges = g.edges()
     chi = 0
     while True:
@@ -41,20 +39,20 @@ def brute_force_four_params(g: Graph) -> tuple[int, int, int, int]:
             break
         chi += 1
 
-    def determining(c, subset):
-        agree = [d for d in colorings if all(d[v] == c[v] for v in subset)]
-        return len(agree) == 1
+    def determining(c):
+        # per subset S (as a bitmask): c is the only coloring agreeing with
+        # c on S, i.e. every other coloring differs from c somewhere in S
+        agree = [sum(1 << v for v in range(g.n) if d[v] == c[v]) for d in colorings if d != c]
+        return [all(s & ~a for a in agree) for s in range(1 << g.n)]
 
     scs_values, lcs_values = [], []
     for c in colorings or [()]:
-        sizes = []
-        for size in range(g.n + 1):
-            for subset in combinations(range(g.n), size):
-                if determining(c, subset) and all(
-                    not determining(c, tuple(x for x in subset if x != v))
-                    for v in subset
-                ):
-                    sizes.append(size)
+        det = determining(c)
+        sizes = [
+            s.bit_count()
+            for s in range(1 << g.n)
+            if det[s] and not any(det[s ^ 1 << v] for v in range(g.n) if s >> v & 1)
+        ]
         scs_values.append(min(sizes))
         lcs_values.append(max(sizes))
     return (min(scs_values), max(scs_values), min(lcs_values), max(lcs_values))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critsets.coloring import (
     Coloring,
@@ -12,10 +14,12 @@ from critsets.coloring import (
     sample_proper_coloring,
 )
 from critsets.critical import (
+    PARAM_NAMES,
     _class_masks,
     _determines,
     _difference_masks,
     _still_determines,
+    _transversal_extremes,
     four_params,
     is_critical,
     is_determining,
@@ -24,9 +28,12 @@ from critsets.critical import (
 )
 from critsets.errors import InvalidParameterError, SizeLimitError
 from critsets.graphs import (
+    Graph,
     add_pendant_to_each,
     bits,
+    connected_components,
     enumerate_graphs,
+    induced_subgraph,
     make_complete,
     make_cycle,
     make_empty,
@@ -245,6 +252,66 @@ def test_difference_masks_match_determining_point_checks():
                     for subset in range(1 << g.n):
                         hits_all = all(subset & m for m in masks)
                         assert hits_all == is_determining(g, coloring, subset), (g.adj, tup, subset)
+
+
+def _unpruned_four_params(g, k):
+    """{name: (value, coloring, set)} by the mask kernel on every
+    palette-orbit coloring of each component, with no orbit pruning: per
+    component the first coloring attaining each extreme, with its least
+    set, lifted to g."""
+    components = []
+    for comp in connected_components(g):
+        sub, verts = induced_subgraph(g, comp)
+        tuples = list(canonical_colorings(sub, k))
+        reps = [_class_masks(tup, k) for tup in tuples]
+        rows = [(tup, *_transversal_extremes(masks, sub.n))
+                for tup, masks in zip(tuples, _difference_masks(reps, reps, sub.n))]
+        components.append((verts, rows))
+    out = {}
+    for name, pick, i in zip(PARAM_NAMES, (min, max, min, max), (1, 1, 3, 3)):
+        total, colors, subset = 0, [0] * g.n, 0
+        for verts, rows in components:
+            row = pick(rows, key=lambda r: r[i])
+            total += row[i]
+            for j, v in enumerate(verts):
+                colors[v] = row[0][j]
+            for j in bits(row[i + 1]):
+                subset |= 1 << verts[j]
+        out[name] = (total, Coloring(tuple(colors), k), subset)
+    return out
+
+
+def test_orbit_pruning_changes_no_answer():
+    # one coloring per Aut x S_k orbit gives the values and all four
+    # witnesses of the walk over every palette-orbit coloring
+    cases = [(g, k) for n in range(7) for g in enumerate_graphs(n)
+             for k in (chromatic_number(g), chromatic_number(g) + 1)]
+    rng = random.Random(11)
+    for g in (make_cycle(9), make_cycle(11), sudoku_graph(2).graph):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cases.append((g.relabel(perm), chromatic_number(g)))
+    for g, k in cases:
+        quad = four_params(g, k)
+        for name, (value, coloring, subset) in _unpruned_four_params(g, k).items():
+            assert getattr(quad, name) == value, (g.adj, k, name)
+            assert quad.witnesses[name] == (coloring, subset), (g.adj, k, name)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_graphs())
+def test_four_params_matches_definitions_on_random_graphs(g):
+    from conftest import brute_force_four_params
+
+    assert four_params(g).values() == brute_force_four_params(g)
 
 
 def test_paw_is_the_small_nonuniform_exception():

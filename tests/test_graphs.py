@@ -1,14 +1,17 @@
+import itertools
 import pickle
 import random
 
 import networkx as nx
 import pytest
 
+from critsets.coloring import _orbit_leaders, canonical_colorings
 from critsets.errors import Graph6Error, InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     Graph,
     add_pendant_to_each,
     atlas_graphs,
+    automorphism_generators,
     bipartition,
     bits,
     canonical_form,
@@ -244,3 +247,72 @@ def test_components_and_bipartition():
     assert bipartition(make_cycle(5)) is None
     sub, verts = induced_subgraph(g, comps[1])
     assert sub == make_path(3) and verts == [4, 5, 6]
+
+
+def _is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        g.adj[perm[v]] == sum(1 << perm[w] for w in bits(row)) for v, row in enumerate(g.adj))
+
+
+def _group_order(n, generators):
+    """Size of the permutation group the generators generate (closure)."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for p in frontier:
+            for s in generators:
+                q = tuple(s[p[v]] for v in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    grown.append(q)
+        frontier = grown
+    return len(seen)
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_automorphism_generators_generate_aut():
+    # every generator is an automorphism, and together they generate the
+    # whole group: its order is the brute-force count over all n! orders
+    for n in range(7):
+        for i, g in enumerate(enumerate_graphs(n)):
+            h = _relabelled(g, 1000 * n + i)
+            gens = automorphism_generators(h)
+            assert all(_is_automorphism(h, s) for s in gens), h.adj
+            brute = sum(_is_automorphism(h, p) for p in itertools.permutations(range(n)))
+            assert _group_order(n, gens) == brute, h.adj
+            if brute == 1:
+                assert gens == []
+    # dihedral groups of relabelled odd cycles; the rook's graph K4 x K4
+    # and the Shrikhande graph share the parameters srg(16, 6, 2, 2), so
+    # refinement cell sizes alone leave wrong leaves in the search
+    def shrikhande_vertex(a, b):
+        return a % 4 * 4 + b % 4
+
+    shrikhande = Graph.from_edges(16, [
+        (shrikhande_vertex(a, b), shrikhande_vertex(a + da, b + db))
+        for a in range(4) for b in range(4) for da, db in ((1, 0), (0, 1), (1, 1))])
+    rook = cartesian_product(make_complete(4), make_complete(4))
+    cases = [(make_cycle(11), 22), (make_cycle(13), 26), (shrikhande, 192), (rook, 1152)]
+    for g, order in cases:
+        for seed in range(4):
+            h = _relabelled(g, seed)
+            gens = automorphism_generators(h)
+            assert all(_is_automorphism(h, s) for s in gens), (h.adj, seed)
+            assert _group_order(h.n, gens) == order
+
+
+def test_coloring_orbits_under_automorphisms():
+    # earliest palette-orbit representative of each Aut x S_k orbit
+    for g, k, orbits in ((sudoku_graph(2).graph, 4, 2), (make_cycle(11), 3, 21),
+                         (make_cycle(13), 3, 63)):
+        for h in (g, _relabelled(g, 7)):
+            tuples = list(canonical_colorings(h, k))
+            leaders = _orbit_leaders(h, tuples)
+            assert len(leaders) == orbits
+            assert leaders[0] == 0 and leaders == sorted(leaders)
