@@ -40,6 +40,21 @@ class Coloring:
         return not any(row & classes[c] for row, c in zip(g.adj, self.colors))
 
 
+def _shuffle(x: list, getrandbits) -> None:
+    """Shuffle x in place exactly as `random.Random.shuffle` does, given
+    that generator's `getrandbits`: the same Fisher-Yates swaps, each index
+    drawn by `_randbelow`'s rejection loop (k = m.bit_length() bits, drawn
+    again until below m), so the generator sees the same calls and ends in
+    the same state."""
+    for i in range(len(x) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def _class_masks(colors, k: int) -> list[int]:
     """Vertex mask of each color class; unused colors get an empty class."""
     classes = [0] * k
@@ -48,17 +63,18 @@ def _class_masks(colors, k: int) -> list[int]:
     return classes
 
 
-def _count(nbrs, allowed: list[int], fixed: int, queue: list[int], cap: int) -> int:
+def _count(nbrs, allowed: list[int], fixed: bytearray, queue: list[int], cap: int) -> int:
     """Count completions of `allowed` (bitmask per vertex), truncated at cap.
 
     Unit propagation first (a singleton vertex removes its color from all
-    neighbors), then MRV branching.
+    neighbors), then MRV branching.  `fixed` flags the propagated vertices;
+    the call owns it and each branch gets its own copy.
     """
     while queue:
         v = queue.pop()
-        if fixed >> v & 1:
+        if fixed[v]:
             continue
-        fixed |= 1 << v
+        fixed[v] = 1
         b = allowed[v]
         for w in nbrs[v]:
             aw = allowed[w]
@@ -67,20 +83,20 @@ def _count(nbrs, allowed: list[int], fixed: int, queue: list[int], cap: int) -> 
                 if not aw:
                     return 0
                 allowed[w] = aw
-                if not aw & (aw - 1) and not fixed >> w & 1:
+                if not aw & (aw - 1) and not fixed[w]:
                     queue.append(w)
-    best = -1
-    best_count = 1 << 30
-    for v in range(len(nbrs)):
-        if not fixed >> v & 1:
-            c = allowed[v].bit_count()
-            if c < best_count:
-                best_count = c
-                best = v
-                if c == 2:
-                    break
+    best = v = fixed.find(0)
     if best < 0:
         return 1
+    best_count = allowed[best].bit_count()
+    while best_count > 2:
+        v = fixed.find(0, v + 1)
+        if v < 0:
+            break
+        c = allowed[v].bit_count()
+        if c < best_count:
+            best_count = c
+            best = v
     total = 0
     m = allowed[best]
     while m:
@@ -88,7 +104,7 @@ def _count(nbrs, allowed: list[int], fixed: int, queue: list[int], cap: int) -> 
         m ^= b
         branch = allowed.copy()
         branch[best] = b
-        total += _count(nbrs, branch, fixed, [best], cap - total)
+        total += _count(nbrs, branch, fixed.copy(), [best], cap - total)
         if total >= cap:
             return cap
     return total
@@ -108,7 +124,7 @@ def count_colorings_extending(g: Graph, k: int, fixed_colors: Mapping[int, int],
             raise InvalidParameterError(f"assignment {v}->{c} out of range")
         allowed[v] = 1 << c
         queue.append(v)
-    return _count(g.neighbor_lists, allowed, 0, queue, cap)
+    return _count(g.neighbor_lists, allowed, bytearray(g.n), queue, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +184,7 @@ def chromatic_number(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
         for i, v in enumerate(bits(clique)):
             allowed[v] = 1 << i
             queue.append(v)
-        if _count(nbrs, allowed, 0, queue, 1):
+        if _count(nbrs, allowed, bytearray(g.n), queue, 1):
             return k
     return hi
 
@@ -266,14 +282,15 @@ def sample_proper_coloring(g: Graph, k: int, rng: random.Random) -> Coloring:
     first (random order within a degree class), which keeps backtracking
     shallow on graphs with many low-degree pendants.
     """
+    getrandbits = rng.getrandbits
     order = list(range(g.n))
-    rng.shuffle(order)
+    _shuffle(order, getrandbits)
     order.sort(key=g.degree, reverse=True)
     colors = [-1] * g.n
     palettes = []
     for v in order:
         p = list(range(k))
-        rng.shuffle(p)
+        _shuffle(p, getrandbits)
         palettes.append(p)
 
     tried = [0] * g.n  # per level: how many colors of palettes[i] are used up

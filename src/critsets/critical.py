@@ -110,7 +110,7 @@ def _determines(nbrs, coloring: Coloring, subset: VertexSet) -> bool:
             queue.append(v)
         else:
             allowed.append(full)
-    return _count(nbrs, allowed, 0, queue, 2) == 1
+    return _count(nbrs, allowed, bytearray(len(nbrs)), queue, 2) == 1
 
 
 def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bool:
@@ -148,7 +148,7 @@ def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bo
         local.append(adj)
         allowed.append(dom)
     queue = [i for i, dom in enumerate(allowed) if not dom & (dom - 1)]
-    return _count(local, allowed, 0, queue, 2) == 1
+    return _count(local, allowed, bytearray(len(local)), queue, 2) == 1
 
 
 def is_determining(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:

@@ -4,7 +4,6 @@ process pool for the larger catalogs.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -99,6 +98,8 @@ def scan_graph6_lines(
     ]
     report = ScanReport(check, [], [], [])
     if jobs > 1:
+        import multiprocessing  # only pools pay its import time
+
         with multiprocessing.Pool(jobs) as pool:
             results = pool.imap(_worker, tasks, chunksize=16)
             _collect(report, results, check, progress)

@@ -18,6 +18,7 @@ from .coloring import (
     Coloring,
     _class_masks,
     _orbit_leaders,
+    _shuffle,
     canonical_colorings,
     count_colorings_extending,
 )
@@ -95,44 +96,71 @@ def _check_board(structure: SudokuStructure, board: Coloring):
         raise InvalidParameterError("board violates a row/column/box constraint")
 
 
+# free-color mask -> its colors in ascending order, shared by all searches
+_MASK_COLORS: dict[int, tuple[int, ...]] = {}
+
+
+@lru_cache(maxsize=None)
+def _board_slots(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per cell of an order-n board, its row, column and box slots in
+    `_board_search`'s `used` list."""
+    side = n * n
+    return tuple((r, side + c, 2 * side + (r // n) * n + c // n)
+                 for r, c in (divmod(v, side) for v in range(side * side)))
+
+
 def _board_search(n: int, rng: random.Random | None, collect: list | None) -> tuple[int, ...] | None:
     """Backtracking board fill; collects all boards or returns the first
     (with rng-shuffled candidate orders when sampling).  Cells are filled
     in index order from an explicit stack, so no board size meets the
-    recursion limit."""
+    recursion limit.
+
+    Draw contract: each cell entry lists the free colors in ascending
+    order and, when sampling, shuffles that list with `_shuffle` on
+    `rng.getrandbits`, which makes exactly `rng.shuffle`'s draws; the cell
+    then tries the colors in shuffled order.  The rng is touched nowhere
+    else, so a seed gives the same board, and leaves the rng in the same
+    state, as a search that calls `rng.shuffle` on those lists.
+    """
     side = n * n
     cells = side * side
     full = (1 << side) - 1
-    # per cell, its row, column and box slots in `used`
-    slots = [(r, side + c, 2 * side + (r // n) * n + c // n)
-             for r, c in (divmod(v, side) for v in range(cells))]
+    slots = _board_slots(n)
+    memo = _MASK_COLORS
+    getrandbits = None if rng is None else rng.getrandbits
     used = [0] * (3 * side)
     colors = [-1] * cells
-    untried: list[list[int]] = []  # per entered cell, next color last
+    untried: list[list[int]] = [[]] * cells  # set on entry; next color last
     v = 0
     while True:
         if v < cells:
             r, c, b = slots[v]
-            cands = bits(full & ~(used[r] | used[c] | used[b]))
-            if rng is not None:
-                rng.shuffle(cands)
-            cands.reverse()
-            untried.append(cands)
+            free = full & ~(used[r] | used[c] | used[b])
+            cands = memo.get(free)
+            if cands is None:
+                cands = memo[free] = tuple(bits(free))
+            cands = list(cands)
+            if len(cands) > 1:
+                if getrandbits is not None:
+                    _shuffle(cands, getrandbits)
+                cands.reverse()
+            untried[v] = cands
         elif collect is None:
             return tuple(colors)
         else:
             collect.append(tuple(colors))
-        # the deepest cell with an untried color takes it; exhausted cells
-        # are cleared on the way up
-        while untried:
-            v = len(untried) - 1
+            v -= 1
+        # the deepest entered cell with an untried color takes it;
+        # exhausted cells are cleared on the way up
+        while v >= 0:
             r, c, b = slots[v]
-            if colors[v] >= 0:
-                bit = 1 << colors[v]
+            col = colors[v]
+            if col >= 0:
+                bit = 1 << col
                 used[r] ^= bit
                 used[c] ^= bit
                 used[b] ^= bit
-            cands = untried[-1]
+            cands = untried[v]
             if cands:
                 col = cands.pop()
                 bit = 1 << col
@@ -143,7 +171,7 @@ def _board_search(n: int, rng: random.Random | None, collect: list | None) -> tu
                 v += 1
                 break
             colors[v] = -1
-            untried.pop()
+            v -= 1
         else:
             return None
 
@@ -159,7 +187,12 @@ def all_boards(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def random_board(n: int, rng: random.Random) -> Coloring:
-    """A board found by randomized backtracking (seeded, not uniform)."""
+    """A board found by randomized backtracking (seeded, not uniform).
+
+    The rng's only use is `rng.getrandbits`, with exactly the draws of one
+    `rng.shuffle` of the ascending free colors per cell entry (see
+    `_board_search`), so a board stream from one rng is fixed by its seed.
+    """
     colors = _board_search(n, rng, None)
     if colors is None:
         raise InternalError("board search failed")
@@ -186,7 +219,7 @@ def random_determining_set(
     adj = structure.graph.adj
     class_mask = _class_masks(colors, side)
     order = list(range(structure.cells))
-    random.Random(seed).shuffle(order)
+    _shuffle(order, random.Random(seed).getrandbits)
     # per color: the class masks of the other colors
     others = [class_mask[:own] + class_mask[own + 1:] for own in range(side)]
     survivors = (1 << structure.cells) - 1

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import critsets
 from critsets.cli import load_graph_source, main
 from critsets.errors import InvalidParameterError
 from critsets.graphs import emit_graph6, enumerate_graphs, make_complete, make_cycle, parse_graph6
@@ -14,6 +19,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only scans with --jobs > 1 start a pool, so only they import it
+    src = str(Path(critsets.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, critsets.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_load_graph_source(tmp_path):

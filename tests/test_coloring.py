@@ -1,11 +1,14 @@
+import hashlib
 import math
 import random
+from itertools import product
 
 import pytest
 
 from conftest import brute_force_proper_count, cycle_chromatic_poly, star
 from critsets.coloring import (
     Coloring,
+    _shuffle,
     chromatic_number,
     colorful_vertices,
     count_colorings_extending,
@@ -24,6 +27,7 @@ from critsets.graphs import (
     make_empty,
     make_path,
 )
+from critsets.reductions import reduce_olcs, reduce_ulcs
 from critsets.sudoku import sudoku_graph
 
 
@@ -146,3 +150,70 @@ def test_sample_proper_coloring_is_seeded_and_proper():
     # a coloring of the wrong length is not a coloring of g
     assert not Coloring(a.colors[:-1], 3).is_proper(g)
     assert not Coloring(a.colors + (0,), 3).is_proper(g)
+
+
+def test_shuffle_makes_random_shuffle_draws():
+    for length in range(13):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            x = list(range(length))
+            y = list(range(length))
+            _shuffle(x, ours.getrandbits)
+            theirs.shuffle(y)
+            assert x == y, (length, seed)
+            assert ours.getrandbits(32) == theirs.getrandbits(32), (length, seed)
+
+
+# sha256 of bytes(colors), first 16 hex digits, of sample_proper_coloring on
+# each gadget instance at seeds 0-4; recorded before the sampler's shuffles
+# were routed through _shuffle
+SAMPLED_COLORINGS = {
+    ("ulcs", "K3"): ("004debcc234f3637", "aebd9608425db793", "065b1db1124d9b0b",
+                     "803504e906df32d8", "74298c1a37200d76"),
+    ("olcs", "K3"): ("3d1c54665b591a3d", "9fd68e7578a69290", "9ef9f700e700a2f6",
+                     "31720a1ef4be09f0", "f4acb3e6ed569630"),
+    ("ulcs", "K4"): ("4b40b9aa063223d0", "2f8d44e18e321b88", "188f6862276e2402",
+                     "973b4e1200b06593", "45849752a05d7616"),
+    ("olcs", "K4"): ("13577c1ba2de95bb", "72b3d7bbbc799ddf", "fa471531b54df988",
+                     "d611941403301a72", "67c63c2c00361d5f"),
+    ("ulcs", "C5"): ("40246dd1cbe8a975", "4d1f7c02df09a585", "94b90cba02de3a80",
+                     "db3231f985eddedd", "5e113138e412e0dc"),
+    ("olcs", "C5"): ("769fed9dc058ed1a", "83ed03a3ecd88c0d", "73776f5c697a3f91",
+                     "b3004b221407aa8d", "6f947cab23d0e831"),
+}
+
+
+def test_sample_proper_coloring_pinned():
+    sources = {"K3": make_complete(3), "K4": make_complete(4), "C5": make_cycle(5)}
+    reducers = {"ulcs": reduce_ulcs, "olcs": reduce_olcs}
+    for (variant, name), expected in SAMPLED_COLORINGS.items():
+        g = reducers[variant](sources[name]).graph
+        for seed, digest in enumerate(expected):
+            c = sample_proper_coloring(g, 3, random.Random(seed))
+            assert c.is_proper(g)
+            assert hashlib.sha256(bytes(c.colors)).hexdigest()[:16] == digest, (variant, name, seed)
+
+
+def test_count_extensions_match_brute_force():
+    rng = random.Random(11)
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            edges = g.edges()
+            chi = chromatic_number(g)
+            for k in (chi, chi + 1):
+                proper = [c for c in product(range(k), repeat=n)
+                          if all(c[u] != c[w] for u, w in edges)]
+                partials = [{}]
+                if k:
+                    for _ in range(3):
+                        base = rng.choice(proper)
+                        partials.append({v: base[v] for v in range(n) if rng.random() < 0.4})
+                        partials.append({v: rng.randrange(k) for v in range(n) if rng.random() < 0.5})
+                    partials += [{u: 0, w: 0} for u, w in edges[:2]]  # conflicting: no extension
+                for partial in partials:
+                    exact = sum(all(c[v] == col for v, col in partial.items()) for c in proper)
+                    if any(partial.get(u, -1) == partial.get(w, -2) for u, w in edges):
+                        assert exact == 0
+                    for cap in (1, 2, 10**6):
+                        got = count_colorings_extending(g, k, partial, cap)
+                        assert got == min(cap, exact), (g, k, partial, cap)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -149,6 +150,11 @@ def test_board_search_matches_recursive_reference():
         boards = []
         _board_search_recursive(n, None, boards)
         assert all_boards(n) == tuple(boards)
+    # pinned: the boards of seeds 0-99, sha256 of their colors as bytes
+    h = hashlib.sha256()
+    for seed in range(100):
+        h.update(bytes(random_board(3, random.Random(seed)).colors))
+    assert h.hexdigest() == "08624fccf086189199f1cf181556506f2bdfc2bef51f191c8a6d385fd89bfed2"
 
 
 def test_random_board_needs_no_recursion_depth():
@@ -200,6 +206,13 @@ def test_trial_campaign():
         45, 45, 44, 42, 40, 45, 40, 41, 45, 38, 44, 43, 42, 43, 37, 41, 49, 41, 41, 42)
     assert trial_campaign(2, 20, seed=1).sizes == (
         6, 8, 8, 11, 5, 6, 6, 6, 8, 6, 6, 6, 6, 5, 7, 8, 7, 7, 8, 6)
+    # pinned longer streams: one master rng feeds every trial, so a draw
+    # that drifts shows after a few hundred boards (sha256 of bytes(sizes))
+    for seed, digest in enumerate((
+            "0894b77e19e5da72db4bb51eed532ef1b9f006138c0da6490cabf261a60b5c13",
+            "3e666f053a90b8cdf665fc15c6e740863483c0f6f87cdcb2ed16115c3c6c25af",
+            "97d9fc11fac3711afa3868bd2e1b37e2c47c8216f8cfec02cf068c35dc3a5cae")):
+        assert hashlib.sha256(bytes(trial_campaign(3, 300, seed=seed).sizes)).hexdigest() == digest
     empty = trial_campaign(2, 0, seed=1)
     assert empty.trials == 0 and empty.sizes == () and empty.mean is None
     with pytest.raises(InvalidParameterError):
