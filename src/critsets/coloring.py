@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import InvalidParameterError, SizeLimitError
@@ -27,16 +28,22 @@ class Coloring:
     k: int
 
     def __post_init__(self):
-        if any(not 0 <= c < self.k for c in self.colors):
-            if self.colors:
-                raise InvalidParameterError("color out of palette range")
+        colors = self.colors
+        if colors and (min(colors) < 0 or max(colors) >= self.k):
+            raise InvalidParameterError("color out of palette range")
+
+    @cached_property
+    def class_masks(self) -> tuple[int, ...]:
+        """Vertex mask of each color class, built once per coloring (kept
+        in the instance __dict__, which equality and hashing ignore)."""
+        return tuple(_class_masks(self.colors, self.k))
 
     def is_proper(self, g: Graph) -> bool:
         """True iff the coloring covers g's vertices and no neighbor of a
         vertex shares its color."""
         if len(self.colors) != g.n:
             return False
-        classes = _class_masks(self.colors, self.k)
+        classes = self.class_masks
         return not any(row & classes[c] for row, c in zip(g.adj, self.colors))
 
 
@@ -67,47 +74,62 @@ def _count(nbrs, allowed: list[int], fixed: bytearray, queue: list[int], cap: in
     """Count completions of `allowed` (bitmask per vertex), truncated at cap.
 
     Unit propagation first (a singleton vertex removes its color from all
-    neighbors), then MRV branching.  `fixed` flags the propagated vertices;
-    the call owns it and each branch gets its own copy.
+    neighbors), then MRV branching, depth first from an explicit stack so
+    that no search depth meets the recursion limit; a branch vertex tries
+    its colors in ascending order.  `fixed` flags the propagated vertices.
+    The call owns `allowed` and `fixed`: each open branch vertex keeps its
+    state on the stack, each of its colors but the last branches on a copy
+    and the last on that state itself, so memory grows as depth times n,
+    as in a recursive search.
     """
-    while queue:
-        v = queue.pop()
-        if fixed[v]:
-            continue
-        fixed[v] = 1
-        b = allowed[v]
-        for w in nbrs[v]:
-            aw = allowed[w]
-            if aw & b:
-                aw &= ~b
-                if not aw:
-                    return 0
-                allowed[w] = aw
-                if not aw & (aw - 1) and not fixed[w]:
-                    queue.append(w)
-    best = v = fixed.find(0)
-    if best < 0:
-        return 1
-    best_count = allowed[best].bit_count()
-    while best_count > 2:
-        v = fixed.find(0, v + 1)
-        if v < 0:
-            break
-        c = allowed[v].bit_count()
-        if c < best_count:
-            best_count = c
-            best = v
     total = 0
-    m = allowed[best]
-    while m:
+    stack = []  # per open branch vertex: (allowed, fixed, vertex, untried colors)
+    while True:
+        while queue:
+            v = queue.pop()
+            if fixed[v]:
+                continue
+            fixed[v] = 1
+            b = allowed[v]
+            for w in nbrs[v]:
+                aw = allowed[w]
+                if aw & b:
+                    aw &= ~b
+                    if not aw:
+                        break
+                    allowed[w] = aw
+                    if not aw & (aw - 1) and not fixed[w]:
+                        queue.append(w)
+            else:
+                continue
+            break  # a domain ran empty: this branch has no completion
+        else:
+            best = v = fixed.find(0)
+            if best < 0:
+                total += 1
+                if total >= cap:
+                    return cap
+            else:
+                best_count = allowed[best].bit_count()
+                while best_count > 2:
+                    v = fixed.find(0, v + 1)
+                    if v < 0:
+                        break
+                    c = allowed[v].bit_count()
+                    if c < best_count:
+                        best_count = c
+                        best = v
+                stack.append((allowed, fixed, best, allowed[best]))
+        if not stack:
+            return total
+        allowed, fixed, best, m = stack.pop()
         b = m & -m
-        m ^= b
-        branch = allowed.copy()
-        branch[best] = b
-        total += _count(nbrs, branch, fixed.copy(), [best], cap - total)
-        if total >= cap:
-            return cap
-    return total
+        if m ^ b:
+            stack.append((allowed, fixed, best, m ^ b))
+            allowed = allowed.copy()
+            fixed = fixed.copy()
+        allowed[best] = b
+        queue = [best]
 
 
 def count_colorings_extending(g: Graph, k: int, fixed_colors: Mapping[int, int], cap: int) -> int:

@@ -11,15 +11,21 @@ difference masks.  The mask kernel (`_difference_masks`, then the walk in
 `_transversal_extremes`) gives the extremes for `scs_lcs_for_coloring`,
 `four_params` and `sudoku.mnc_exhaustive`.  Point checks on one given set
 go through `_determines` instead (behind `is_determining`, `is_critical`
-and the fair-puzzle certificate), the propagation counter `_count` capped
-at 2, which needs no enumeration and so also runs on order-3 boards and on
-the large gadget graphs.  Dropping one vertex v from a set already known
-to determine the coloring goes through `_still_determines`, which counts
-on v's free region alone: the minimality loop of `is_critical` and every
-step of `prune_to_critical` hold that precondition, so a certificate on a
-gadget graph costs about linear time instead of one whole-graph count per
-vertex.  The precondition needs a proper coloring, so every point check
-rejects an improper one.  The vertices in every determining set need no
+and the fair-puzzle certificate), which needs no enumeration and so also
+runs on order-3 boards and on the large gadget graphs.  Because the
+coloring extends its own restriction, propagation from the set can only
+fix each vertex to its own color, so it first closes the set on
+color-class bitsets: a round fixes every free vertex of color c whose
+fixed neighbors show the other k-1 colors, with O(k) mask operations.
+When the closure is all of V the set determines; otherwise the
+propagation counter `_count` branches on what is left, capped at 2.
+Dropping one vertex v from a set already known to determine the coloring
+goes through `_still_determines`, which counts on v's free region alone:
+the minimality loop of `is_critical` and every step of
+`prune_to_critical` hold that precondition, so a certificate on a gadget
+graph costs about linear time instead of one whole-graph count per
+vertex.  Both checks need a proper coloring, so every point check rejects
+an improper one.  The vertices in every determining set need no
 count at all: they are the vertices that are not colorful
 (`forced_vertices`).
 
@@ -42,6 +48,7 @@ orbit, so it is among those searched, with its own least set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -98,19 +105,75 @@ class ScsLcs:
     lcs_witness: VertexSet
 
 
-def _determines(nbrs, coloring: Coloring, subset: VertexSet) -> bool:
-    """True iff the coloring restricted to `subset` has exactly one proper
-    extension (propagation plus branching, counting capped at 2)."""
-    full = (1 << coloring.k) - 1
-    allowed = []
-    queue = []
-    for v, c in enumerate(coloring.colors):
-        if subset >> v & 1:
-            allowed.append(1 << c)
-            queue.append(v)
-        else:
-            allowed.append(full)
-    return _count(nbrs, allowed, bytearray(len(nbrs)), queue, 2) == 1
+# a binary digit string read as per-vertex flags: b"1" -> 1, b"0" -> 0
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: VertexSet, n: int) -> bytes:
+    """Byte v is 1 iff bit v of mask is set: one pass over the mask's
+    digits, where testing `mask >> v & 1` per vertex would shift the whole
+    mask n times."""
+    return f"{mask:0{n}b}"[::-1].encode().translate(_DIGIT_FLAGS)
+
+
+def _determines(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
+    """True iff the proper coloring restricted to `subset` has exactly one
+    proper extension.
+
+    Unit propagation from `subset` only ever fixes a vertex to its own
+    color, since the coloring is an extension and propagation keeps every
+    extension.  So its fixpoint is the closure F of `subset` under adding
+    each free vertex whose fixed neighbors show all k-1 other colors, and
+    the closure grows in rounds on color-class bitsets.  With seen[c] the
+    neighbors of the fixed vertices of color c, a round fixes
+    class[c] & free & AND(seen[c'] for c' != c) for every c at once, from
+    prefix and suffix ANDs of seen.  F = V decides True.
+
+    A round costs O(k) operations on n-bit masks however few vertices it
+    fixes, so on a long chain, which fixes one or two vertices per round,
+    the rounds would be quadratic.  They stop at a round that fixes fewer
+    than n/64 vertices (below 128 vertices: at one that fixes none), and
+    `_count` goes on from the residual domains, capped at 2: each free
+    vertex is allowed the palette minus the colors seen at it, so that
+    round's vertices come out as singletons, which `_count` propagates
+    before it branches.
+    """
+    n = g.n
+    k = coloring.k
+    colors = coloring.colors
+    adj = g.adj
+    classes = coloring.class_masks
+    seen = [0] * k
+    enough = max(1, n >> 6)  # a round fixing fewer stops the rounds
+    free = ((1 << n) - 1) ^ subset
+    fresh = subset  # fixed vertices whose rows are not in seen yet
+    while free:
+        for v in compress(range(n), _flags(fresh, n)):
+            seen[colors[v]] |= adj[v]
+        suffix = [-1] * (k + 1)  # suffix[c]: AND of seen[c:]
+        for c in range(k - 1, 0, -1):
+            suffix[c] = suffix[c + 1] & seen[c]
+        prefix = free  # free & AND of seen[:c]
+        fresh = 0
+        for c in range(k):
+            fresh |= classes[c] & prefix & suffix[c + 1]
+            prefix &= seen[c]
+        if fresh != free and fresh.bit_count() < enough:
+            break  # fresh stays free: exactly its domains are singletons
+        free ^= fresh
+    else:
+        return True
+    full = (1 << k) - 1
+    allowed = [full] * n
+    for c in range(k):
+        for v in compress(range(n), _flags(classes[c] & ~free, n)):
+            allowed[v] = 1 << c
+        drop = full ^ 1 << c
+        for v in compress(range(n), _flags(seen[c] & free, n)):
+            allowed[v] &= drop
+    queue = list(compress(range(n), _flags(fresh, n)))  # the singletons
+    fixed = bytearray(_flags(((1 << n) - 1) ^ free, n))
+    return _count(g.neighbor_lists, allowed, fixed, queue, 2) == 1
 
 
 def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bool:
@@ -154,14 +217,14 @@ def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bo
 def is_determining(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
     """True iff the coloring restricted to `subset` extends uniquely."""
     _check_point(g, coloring, subset)
-    return _determines(g.neighbor_lists, coloring, subset)
+    return _determines(g, coloring, subset)
 
 
 def is_critical(g: Graph, coloring: Coloring, subset: VertexSet) -> CriticalCertificate:
     """Determining plus minimality flags for (g, coloring, subset)."""
     _check_point(g, coloring, subset)
     nbrs = g.neighbor_lists
-    det = _determines(nbrs, coloring, subset)
+    det = _determines(g, coloring, subset)
     minimal = det and not any(_still_determines(nbrs, coloring, subset, v) for v in bits(subset))
     return CriticalCertificate(coloring, subset, det, minimal)
 

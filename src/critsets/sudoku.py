@@ -217,7 +217,7 @@ def random_determining_set(
     side = structure.side
     colors = board.colors
     adj = structure.graph.adj
-    class_mask = _class_masks(colors, side)
+    class_mask = board.class_masks  # built by _check_board's properness scan
     order = list(range(structure.cells))
     _shuffle(order, random.Random(seed).getrandbits)
     # per color: the class masks of the other colors
@@ -295,7 +295,7 @@ def trial_campaign(n: int, trials: int, seed: int = 0, certify: bool = True) -> 
             board = random_board(3, master)
         survivors = random_determining_set(structure, board, seed=master.getrandbits(32))
         # random_determining_set has just checked the board: count unchecked
-        if certify and not _determines(structure.graph.neighbor_lists, board, survivors):
+        if certify and not _determines(structure.graph, board, survivors):
             raise InternalError("thinning process produced a non-determining set")
         sizes.append(survivors.bit_count())
     if not sizes:

@@ -16,7 +16,7 @@ from critsets.coloring import (
     is_uniquely_colorable,
     sample_proper_coloring,
 )
-from critsets.errors import SizeLimitError
+from critsets.errors import InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     Graph,
     bits,
@@ -150,6 +150,17 @@ def test_sample_proper_coloring_is_seeded_and_proper():
     # a coloring of the wrong length is not a coloring of g
     assert not Coloring(a.colors[:-1], 3).is_proper(g)
     assert not Coloring(a.colors + (0,), 3).is_proper(g)
+
+
+def test_coloring_palette_check_and_class_masks():
+    for colors, k in (((0, 3), 3), ((-1, 0), 2), ((0,), 0)):
+        with pytest.raises(InvalidParameterError, match="color out of palette range"):
+            Coloring(colors, k)
+    assert Coloring((), 0).colors == ()
+    c = Coloring((0, 2, 0), 3)
+    assert c.class_masks == (0b101, 0, 0b010)
+    # the cached masks take no part in equality or hashing
+    assert c == Coloring((0, 2, 0), 3) and hash(c) == hash(Coloring((0, 2, 0), 3))
 
 
 def test_shuffle_makes_random_shuffle_draws():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from critsets.coloring import (
     Coloring,
+    _count,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -31,6 +32,7 @@ from critsets.graphs import (
     Graph,
     add_pendant_to_each,
     bits,
+    cartesian_product,
     connected_components,
     enumerate_graphs,
     induced_subgraph,
@@ -40,9 +42,9 @@ from critsets.graphs import (
     make_path,
     mask_of,
 )
-from critsets.reductions import reduce_olcs, reduce_ulcs
+from critsets.reductions import proof_coloring_olcs, reduce_olcs, reduce_ulcs
 from critsets.scan import implication_holds, record_for_graph
-from critsets.sudoku import random_board, sudoku_graph
+from critsets.sudoku import random_board, random_determining_set, sudoku_graph
 
 C4_COLORING = Coloring((0, 1, 0, 1), 2)
 
@@ -83,9 +85,20 @@ def test_point_checks_reject_malformed_colorings():
             prune_to_critical(p3, bad, [0, 1, 2])
 
 
+def _count_determines(g, coloring, subset):
+    """The whole-graph check without class-bitset rounds: singletons on
+    `subset`, the full palette elsewhere, `_count` capped at 2."""
+    full = (1 << coloring.k) - 1
+    allowed = [1 << c if subset >> v & 1 else full for v, c in enumerate(coloring.colors)]
+    queue = [v for v in range(g.n) if subset >> v & 1]
+    return _count(g.neighbor_lists, allowed, bytearray(g.n), queue, 2) == 1
+
+
 def test_drop_check_matches_full_check():
-    # for a determining subset, counting on v's free region alone decides
-    # whether subset - {v} still determines, as the whole-graph count does
+    # the whole-graph check (class rounds, then `_count`) agrees with
+    # `_count` alone on every subset; for a determining subset, counting on
+    # v's free region alone decides whether subset - {v} still determines,
+    # as the whole-graph count does
     for n in range(6):
         for g in enumerate_graphs(n):
             nbrs = g.neighbor_lists
@@ -94,12 +107,96 @@ def test_drop_check_matches_full_check():
                 for tup in canonical_colorings(g, k):
                     coloring = Coloring(tup, k)
                     for subset in range(1 << g.n):
-                        if not _determines(nbrs, coloring, subset):
+                        det = _determines(g, coloring, subset)
+                        assert det == _count_determines(g, coloring, subset), (g.adj, tup, subset)
+                        if not det:
                             continue
                         for v in bits(subset):
-                            expected = _determines(nbrs, coloring, subset ^ 1 << v)
+                            expected = _determines(g, coloring, subset ^ 1 << v)
                             assert _still_determines(nbrs, coloring, subset, v) == expected, (
                                 g.adj, tup, subset, v)
+
+
+def test_class_rounds_match_count_check_near_survivor_sets():
+    # the rounds close a survivor set to all 81 cells; subsets and
+    # supersets of it leave free cells for `_count` to branch on
+    structure = sudoku_graph(3)
+    g = structure.graph
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(30):
+        board = random_board(3, rng)
+        survivors = random_determining_set(structure, board, seed=rng.getrandbits(32))
+        assert _determines(g, board, survivors)
+        cells = bits(survivors)
+        for _ in range(8):
+            lose = mask_of(rng.sample(cells, rng.randrange(1, 4)))
+            extra = mask_of(rng.sample(range(81), 10))
+            for subset in (survivors ^ lose, survivors ^ lose | extra,
+                           survivors & rng.getrandbits(81)):
+                got = _determines(g, board, subset)
+                assert got == _count_determines(g, board, subset), (board.colors, subset)
+                outcomes.add((got, subset.bit_count() < survivors.bit_count()))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_class_rounds_hand_long_chains_to_count():
+    # rounds that fix fewer than n/64 vertices stop and leave the rest to
+    # `_count`, whose queue then holds the last round's vertices
+    rng = random.Random(4)
+    cases = []
+    for n in (300, 301):
+        for g in (make_path(n), make_cycle(n)):
+            for k in (2, 3):
+                colors = [v % k for v in range(n)]
+                if g.m == n and colors[-1] == 0:  # the cycle closes on color 0
+                    if k == 2:
+                        continue
+                    colors[-1] = 3 - colors[-2]
+                coloring = Coloring(tuple(colors), k)
+                assert coloring.is_proper(g)
+                subsets = [1, 1 | 1 << (n - 1), mask_of(range(0, n, 7)),
+                           rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)]
+                cases += [(g, coloring, s) for s in subsets]
+    for h in (make_cycle(5), make_complete(3)):
+        g = reduce_ulcs(h).graph
+        for _ in range(2):
+            coloring = sample_proper_coloring(g, 3, rng)
+            order = list(range(g.n))
+            rng.shuffle(order)
+            critical = prune_to_critical(g, coloring, order)
+            drop = 1 << rng.choice(bits(critical))
+            cases += [(g, coloring, critical), (g, coloring, critical ^ drop)]
+            cases += [(g, coloring, rng.getrandbits(g.n) | critical) for _ in range(2)]
+    answers = []
+    for g, coloring, subset in cases:
+        got = _determines(g, coloring, subset)
+        assert got == _count_determines(g, coloring, subset), (g.n, coloring.colors, subset)
+        answers.append(got)
+    assert True in answers and False in answers
+
+
+def test_is_critical_on_olcs_certificate():
+    # the 2091-vertex certificate that `reduce olcs latin:3 --verify` checks
+    h = cartesian_product(make_complete(3), make_complete(3))
+    inst = reduce_olcs(h)
+    g = inst.graph
+    lifted = proof_coloring_olcs(inst, Coloring(next(canonical_colorings(h, 3)), 3))
+    order = [v for kind in ("V1", "V3", "V2") for v in inst.vertices_with_kind(kind)]
+    subset = prune_to_critical(g, lifted, order)
+    cert = is_critical(g, lifted, subset)
+    assert cert.determining and cert.minimal
+    assert _count_determines(g, lifted, subset)
+    rng = random.Random(2)
+    for v in rng.sample(bits(subset), 20):
+        assert not _determines(g, lifted, subset ^ 1 << v)
+        assert not _count_determines(g, lifted, subset ^ 1 << v)
+
+
+def test_deep_branching_needs_no_recursion_depth():
+    # a 3-colored path fixed at one end branches once per vertex
+    assert not is_determining(make_path(3000), Coloring(tuple(v % 3 for v in range(3000)), 3), 1)
+    assert is_determining(make_path(3000), Coloring(tuple(v % 2 for v in range(3000)), 2), 1)
 
 
 def _reference_prune(g, coloring, order):
