@@ -118,6 +118,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.progress < 0:
+        raise InvalidParameterError(f"--progress must be nonnegative (got {args.progress})")
     with open(args.file) as fh:
         lines = fh.readlines()
     report = scan.scan_graph6_lines(
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("table", help="parameter table over all isomorphism classes")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"vertex count, at most {graphs.CANONICAL_CAP}")
     p.add_argument("--nonbipartite", action="store_true")
     p.set_defaults(func=cmd_table)
 
@@ -265,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--check", choices=scan.CHECKS, required=True)
     p.add_argument("--progress", type=int, default=0,
-                   help="report every N graphs on stderr")
+                   help="report every N graphs on stderr (0: never)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("atlas", help="emit graph6 lines for all classes on n vertices")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"vertex count, at most {graphs.CANONICAL_CAP}")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_atlas)
 

@@ -8,7 +8,6 @@ return fresh graphs and never mutate.
 from __future__ import annotations
 
 import base64
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -17,7 +16,6 @@ from .errors import Graph6Error, InvalidParameterError, SizeLimitError
 VertexSet = int
 
 CANONICAL_CAP = 8
-ENUMERATION_CAP = 6
 
 
 def bits(mask: VertexSet) -> list[int]:
@@ -353,22 +351,6 @@ def parse_graph6(text: str) -> Graph:
 # canonical forms and small-order enumeration
 
 
-def _refine(g: Graph) -> list[int]:
-    """Iterated neighborhood refinement; returns stable vertex class ids
-    ordered by a permutation-invariant signature."""
-    classes = [g.degree(v) for v in range(g.n)]
-    while True:
-        sigs = []
-        for v in range(g.n):
-            nb = tuple(sorted(classes[w] for w in g.neighbors(v)))
-            sigs.append((classes[v], nb))
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == classes:
-            return classes
-        classes = new
-
-
 def _equitable(g: Graph, cells: list[VertexSet]) -> list[VertexSet]:
     """Coarsest equitable refinement of the ordered partition `cells`:
     split every cell by its vertices' neighbor counts in each cell, pieces
@@ -455,6 +437,15 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     accepted only after an adjacency check.  An asymmetric graph whose
     first refinement is already discrete returns at once.
     """
+    return _first_path_search(g)[2]
+
+
+def _first_path_search(g: Graph):
+    """The search behind `automorphism_generators`: the first path, its
+    leaf's vertex order, the generators, and per level the orbit roots
+    (as `_orbit_roots`) of the generators found at that level or deeper,
+    which generate the stabilizer of the vertices the first path
+    individualized above that level."""
     n = g.n
     cells = _equitable(g, [(1 << n) - 1] if n else [])
     path = []  # per level: the partition branched on, its target, the shape after
@@ -479,10 +470,11 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
         return None
 
     generators: list[tuple[int, ...]] = []
+    roots = list(range(n))  # _orbit_roots(n, generators), kept current
+    stab_roots = [None] * len(path)
     for level in range(len(path) - 1, -1, -1):
         before, t, _ = path[level]
         tried = [bits(before[t])[0]]
-        roots = _orbit_roots(n, generators)
         for w in bits(before[t])[1:]:
             if roots[w] in {roots[u] for u in tried}:
                 continue
@@ -491,10 +483,11 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
             if found is not None:
                 generators.append(found)
                 roots = _orbit_roots(n, generators)
-    return generators
+        stab_roots[level] = roots
+    return path, first, generators, stab_roots
 
 
-def _encode(g: Graph, order: tuple[int, ...]) -> int:
+def _encode(g: Graph, order: list[int]) -> int:
     """Upper-triangle bit string of g relabelled by `order`, MSB first."""
     code = 0
     for i in range(g.n):
@@ -504,44 +497,55 @@ def _encode(g: Graph, order: tuple[int, ...]) -> int:
     return code
 
 
-def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> Graph:
-    """Lexicographically minimal relabelling; isomorphic graphs coincide.
+def canonical_form(g: Graph) -> Graph:
+    """The relabelling of g by the leaf of its individualization-refinement
+    tree with the least `_encode` code; isomorphic graphs coincide.
 
-    Candidate orders are restricted to those respecting the refinement
-    partition, so the factorial blowup only bites for highly regular
-    graphs.  Capped at `cap` vertices.
+    The tree (equitable refinement, branching on every vertex of the first
+    non-singleton cell) commutes with relabelling, so its least leaf code
+    is an isomorphism invariant.  Two children that an automorphism fixing
+    their parent's individualized vertices maps onto each other hold the
+    same leaf codes.  So at each node of the first path only one child per
+    orbit of that level's stabilizer is searched, with the orbits that
+    `_first_path_search` reports, and below every other child each leaf
+    is visited.  Capped at CANONICAL_CAP vertices.
     """
-    if g.n > cap:
-        raise SizeLimitError(f"canonical_form capped at {cap} vertices (got {g.n})")
-    if g.n <= 1:
-        return g
-    classes = _refine(g)
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(classes):
-        cells.setdefault(c, []).append(v)
-    cell_lists = [cells[c] for c in sorted(cells)]
-    best_code = None
-    best_order = None
-    for parts in itertools.product(*(itertools.permutations(cell) for cell in cell_lists)):
-        order = tuple(itertools.chain.from_iterable(parts))
-        code = _encode(g, order)
-        if best_code is None or code < best_code:
-            best_code = code
-            best_order = order
-    return g.relabel(best_order)
+    if g.n > CANONICAL_CAP:
+        raise SizeLimitError(f"canonical_form capped at {CANONICAL_CAP} vertices (got {g.n})")
+    n = g.n
+    path, first, _, stab_roots = _first_path_search(g)
+
+    def leaves(cells: list[VertexSet]):
+        if len(cells) == n:
+            yield [cell.bit_length() - 1 for cell in cells]
+            return
+        t = _target(cells)
+        for w in bits(cells[t]):
+            yield from leaves(_equitable(g, _individualize(cells, t, w)))
+
+    orders = [first]
+    for (before, t, _), roots in zip(path, stab_roots):
+        for w in bits(before[t])[1:]:
+            if roots[w] == w:
+                orders.extend(leaves(_equitable(g, _individualize(before, t, w))))
+    return g.relabel(min(orders, key=lambda order: _encode(g, order)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
-    """All isomorphism classes on n vertices, canonical and sorted.
+    """All isomorphism classes on n vertices as canonical forms, sorted by
+    adjacency rows.
 
-    Built by vertex augmentation with canonical dedup; capped at 6 (the
-    7-vertex catalog ships as a graph6 data file instead).
+    Built by vertex augmentation: each class on n - 1 vertices gets a new
+    vertex with each of the 2^(n-1) neighbourhoods, and `canonical_form`
+    merges the duplicates.  Capped at CANONICAL_CAP vertices (12346
+    classes on 8).
     """
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
-    if n > ENUMERATION_CAP:
-        raise SizeLimitError(f"enumeration capped at {ENUMERATION_CAP} vertices")
+    if n > CANONICAL_CAP:
+        raise SizeLimitError(f"atlases are computed up to {CANONICAL_CAP} vertices (got {n}); "
+                             "larger catalogs can be scanned from graph6 files")
     if n == 0:
         return (Graph(0, ()),)
     seen: dict[tuple[int, ...], Graph] = {}
@@ -554,13 +558,4 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(sorted(seen.values(), key=lambda h: h.adj))
 
 
-def atlas_graphs(n: int) -> tuple[Graph, ...]:
-    """Isomorphism classes on n vertices; computed up to 6, packaged file at 7."""
-    if n <= ENUMERATION_CAP:
-        return enumerate_graphs(n)
-    if n == 7:
-        from importlib.resources import files
-
-        text = files("critsets.data").joinpath("atlas_n7.g6").read_text()
-        return tuple(parse_graph6(line) for line in text.splitlines() if line.strip())
-    raise SizeLimitError("atlases beyond 7 vertices must be supplied as graph6 files")
+atlas_graphs = enumerate_graphs  # the name the CLI and the benchmark call

@@ -92,8 +92,8 @@ def test_table_small(capsys):
     code, out, _ = run_cli(capsys, "table", "4", "--nonbipartite")
     rows = list(csv.reader(io.StringIO(out)))
     assert all(int(row[2]) >= 3 for row in rows[1:])  # chi of nonbipartite
-    code, _, err = run_cli(capsys, "table", "8")
-    assert code == 2
+    code, _, err = run_cli(capsys, "table", "9")
+    assert code == 2 and "size limit" in err
 
 
 def test_scan_command(capsys, tmp_path):
@@ -114,6 +114,8 @@ def test_scan_command(capsys, tmp_path):
     empty.write_text("")
     code, out, _ = run_cli(capsys, "scan", str(empty), "--check", "prop1")
     assert code == 0 and "graphs=0" in out
+    code, out, err = run_cli(capsys, "scan", str(path), "--check", "prop1", "--progress", "-1")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1 and "--progress" in err
 
 
 def test_atlas_command(capsys, tmp_path):
@@ -125,6 +127,8 @@ def test_atlas_command(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "atlas", "4", "--out", str(out_file))
     assert code == 0
     assert len(out_file.read_text().splitlines()) == 11
+    code, out, err = run_cli(capsys, "atlas", "9")
+    assert code == 2 and out == "" and "size limit" in err
 
 
 def test_sudoku_gen(capsys):

@@ -202,10 +202,8 @@ def test_graph6_errors_carry_offsets():
         parse_graph6(bad_pad)
 
 
-def test_canonical_form_collapses_isomorphs():
+def test_canonical_form_collapses_isomorphs(monkeypatch):
     base = make_path(3)
-    import itertools
-
     forms = {canonical_form(base.relabel(p)).adj for p in itertools.permutations(range(3))}
     assert len(forms) == 1
     two_c4 = Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
@@ -213,29 +211,45 @@ def test_canonical_form_collapses_isomorphs():
     assert canonical_form(make_path(4)) != canonical_form(
         Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     )
-    rng = random.Random(5)
-    for g in enumerate_graphs(6)[::13]:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        assert canonical_form(g.relabel(perm)) == canonical_form(g)
+    # every 7-vertex class twice, and the most symmetric 8-vertex graphs,
+    # where stabilizer orbits prune the most children, four times each
+    k2 = make_complete(2)
+    cube = cartesian_product(k2, cartesian_product(k2, k2))
+    two_k4 = disjoint_union(make_complete(4), make_complete(4))
+    cases = [(g, 2) for g in enumerate_graphs(7)]
+    cases += [(g, 4) for g in (make_cycle(8), make_complete(8), cube, complement(two_k4), two_k4)]
+    for i, (g, times) in enumerate(cases):
+        form = canonical_form(g)
+        for seed in range(times):
+            assert canonical_form(_relabelled(g, 100 * i + seed)) == form, (g.adj, seed)
     with pytest.raises(SizeLimitError):
         canonical_form(make_cycle(9))
+    # beyond the cap: in the Shrikhande graph the cell after one
+    # individualization holds two orbits of that vertex's stabilizer, which
+    # Aut(g) joins, so pruning there by the orbits of Aut(g) would drop leaves
+    monkeypatch.setattr("critsets.graphs.CANONICAL_CAP", 16)
+    form = canonical_form(_shrikhande())
+    for seed in range(4):
+        assert canonical_form(_relabelled(_shrikhande(), seed)) == form, seed
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_graphs(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
+    assert [len(enumerate_graphs(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
     with pytest.raises(SizeLimitError):
-        enumerate_graphs(7)
+        enumerate_graphs(9)
+    with pytest.raises(SizeLimitError):
+        atlas_graphs(9)
 
 
-def test_atlas_seven_from_data_file():
-    graphs = atlas_graphs(7)
-    assert len(graphs) == 1044
-    assert all(g.n == 7 for g in graphs)
-    forms = {canonical_form(g).adj for g in graphs}
-    assert len(forms) == 1044
-    with pytest.raises(SizeLimitError):
-        atlas_graphs(8)
+def test_atlas_matches_networkx_atlas():
+    # the Read-Wilson atlas shipped with networkx: every graph on 0-7
+    # vertices, one per class
+    codes = {n: set() for n in range(8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        codes[n].add(canonical_form(Graph.from_edges(n, h.edges())).adj)
+    for n in range(8):
+        assert codes[n] == {g.adj for g in enumerate_graphs(n)}, n
 
 
 def test_components_and_bipartition():
@@ -270,6 +284,15 @@ def _group_order(n, generators):
     return len(seen)
 
 
+def _shrikhande():
+    def vertex(a, b):
+        return a % 4 * 4 + b % 4
+
+    return Graph.from_edges(16, [(vertex(a, b), vertex(a + da, b + db))
+                                 for a in range(4) for b in range(4)
+                                 for da, db in ((1, 0), (0, 1), (1, 1))])
+
+
 def _relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -291,14 +314,8 @@ def test_automorphism_generators_generate_aut():
     # dihedral groups of relabelled odd cycles; the rook's graph K4 x K4
     # and the Shrikhande graph share the parameters srg(16, 6, 2, 2), so
     # refinement cell sizes alone leave wrong leaves in the search
-    def shrikhande_vertex(a, b):
-        return a % 4 * 4 + b % 4
-
-    shrikhande = Graph.from_edges(16, [
-        (shrikhande_vertex(a, b), shrikhande_vertex(a + da, b + db))
-        for a in range(4) for b in range(4) for da, db in ((1, 0), (0, 1), (1, 1))])
     rook = cartesian_product(make_complete(4), make_complete(4))
-    cases = [(make_cycle(11), 22), (make_cycle(13), 26), (shrikhande, 192), (rook, 1152)]
+    cases = [(make_cycle(11), 22), (make_cycle(13), 26), (_shrikhande(), 192), (rook, 1152)]
     for g, order in cases:
         for seed in range(4):
             h = _relabelled(g, seed)
