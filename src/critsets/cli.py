@@ -5,7 +5,9 @@ and reduce.  Graph sources are graph6 strings, files containing one, or
 the generator mini-language cycle:N, complete:N, path:N, empty:N,
 sudoku:N, latin:N.
 
-Exit codes: 0 success, 1 input error, 2 size limit, 3 invariant breach.
+Exit codes: 0 success, 1 input error (undecodable input text too),
+2 size limit, 3 invariant breach or any other exception; every failure
+prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ def _quad_json(quad: ParamQuad) -> dict:
 
 def cmd_params(args) -> int:
     g = load_graph_source(args.source)
-    chi = chromatic_number(g, args.max_vertices)
-    k = chi if args.k is None else args.k
     quad = four_params(g, args.k, max_vertices=args.max_vertices)
+    k = quad.witnesses["uscs"][0].k  # the palette four_params colored with
+    chi = k if args.k is None else chromatic_number(g, args.max_vertices)
     if args.format == "json":
         print(json.dumps({"source": args.source, "n": g.n, "m": g.m, "chi": chi,
                           "k": k, **_quad_json(quad)}))
@@ -120,6 +122,8 @@ def cmd_table(args) -> int:
 def cmd_scan(args) -> int:
     if args.progress < 0:
         raise InvalidParameterError(f"--progress must be nonnegative (got {args.progress})")
+    if args.jobs < 1:
+        raise InvalidParameterError(f"--jobs must be at least 1 (got {args.jobs})")
     with open(args.file) as fh:
         lines = fh.readlines()
     report = scan.scan_graph6_lines(
@@ -315,11 +319,18 @@ def main(argv=None) -> int:
     except (InvalidParameterError, UnsupportedError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not {exc.encoding} text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+        return 1
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
     except (InternalError, CritsetsError) as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug outside the package's own errors
+        print(f"invariant breach: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

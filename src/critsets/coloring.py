@@ -153,10 +153,10 @@ def count_colorings_extending(g: Graph, k: int, fixed_colors: Mapping[int, int],
 # chromatic number
 
 
-def _greedy_clique(g: Graph) -> VertexSet:
-    """A maximal clique found greedily from each start vertex; best kept."""
+def _greedy_clique(g: Graph, order: list[int], enough: int) -> VertexSet:
+    """A maximal clique found greedily from each start vertex of `order`;
+    the largest kept, and the first to reach `enough` vertices returned."""
     best = 0
-    order = sorted(range(g.n), key=g.degree, reverse=True)
     for start in order:
         clique = 1 << start
         cand = g.adj[start]
@@ -166,11 +166,13 @@ def _greedy_clique(g: Graph) -> VertexSet:
             cand &= g.adj[v]
         if clique.bit_count() > best.bit_count():
             best = clique
+            if clique.bit_count() >= enough:
+                break
     return best
 
 
-def _greedy_color_count(g: Graph) -> int:
-    order = sorted(range(g.n), key=g.degree, reverse=True)
+def _greedy_color_count(g: Graph, order: list[int]) -> int:
+    """Colors used by first-fit coloring in `order`."""
     colors: dict[int, int] = {}
     used = 0
     for v in order:
@@ -187,18 +189,26 @@ def _greedy_color_count(g: Graph) -> int:
 
 
 def chromatic_number(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
-    """Minimum k admitting a proper k-coloring; 0 for the empty graph."""
+    """Minimum k admitting a proper k-coloring; 0 for the empty graph.
+
+    First-fit coloring in descending degree order gives an upper bound hi,
+    and a greedy clique from each start vertex, in the same order, a lower
+    bound and a pin.  The clique search stops at a clique of hi vertices,
+    which proves chi = hi with no count at all; otherwise each k from the
+    clique size up to hi - 1 is tried by `_count`, with the clique pinned to
+    distinct colors.
+    """
     if g.n > max_vertices:
         raise SizeLimitError(f"chromatic_number capped at {max_vertices} vertices")
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
-    clique = _greedy_clique(g)
-    lo = clique.bit_count()
-    hi = _greedy_color_count(g)
+    order = sorted(range(g.n), key=g.degree, reverse=True)
+    hi = _greedy_color_count(g, order)
+    clique = _greedy_clique(g, order, hi)
     nbrs = g.neighbor_lists
-    for k in range(lo, hi):
+    for k in range(clique.bit_count(), hi):
         full = (1 << k) - 1
         allowed = [full] * g.n
         queue = []

@@ -9,14 +9,17 @@ iff moreover each of its vertices has a private mask that S meets nowhere
 else: the critical sets of c are the minimal transversals of its minimal
 difference masks.  The mask kernel (`_difference_masks`, then the walk in
 `_transversal_extremes`) gives the extremes for `scs_lcs_for_coloring`,
-`four_params` and `sudoku.mnc_exhaustive`.  Point checks on one given set
-go through `_determines` instead (behind `is_determining`, `is_critical`
-and the fair-puzzle certificate), which needs no enumeration and so also
-runs on order-3 boards and on the large gadget graphs.  Because the
-coloring extends its own restriction, propagation from the set can only
-fix each vertex to its own color, so it first closes the set on
-color-class bitsets: a round fixes every free vertex of color c whose
-fixed neighbors show the other k-1 colors, with O(k) mask operations.
+`four_params` and `sudoku.mnc_exhaustive`; the maximal color matchings
+behind the masks depend only on the palette size and on which color cells
+meet, so one table per process (`_MATCHINGS`) serves every call.  Point
+checks on one given set go through `_determines` instead (behind
+`is_determining`, `is_critical` and the fair-puzzle certificate), which
+needs no enumeration and so also runs on order-3 boards and on the large
+gadget graphs.  Because the coloring extends its own restriction,
+propagation from the set can only fix each vertex to its own color, so it
+first closes the set on color-class bitsets: a round fixes every free
+vertex of color c whose fixed neighbors show the other k-1 colors, with
+O(k) mask operations.
 When the closure is all of V the set determines; otherwise the
 propagation counter `_count` branches on what is left, capped at 2.
 Dropping one vertex v from a set already known to determine the coloring
@@ -249,6 +252,12 @@ def forced_vertices(g: Graph, coloring: Coloring) -> VertexSet:
     return ((1 << g.n) - 1) & ~colorful_vertices(g, coloring)
 
 
+# palette size -> {occupied cells: their maximal matchings}, shared by every
+# call in the process; each distinct matching is stored once (_INTERNED)
+_MATCHINGS: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
+_INTERNED: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _maximal_matchings(k: int, occupied: int) -> tuple[tuple[int, ...], ...]:
     """Every inclusion-maximal matching of the bipartite graph on [k] x [k]
     whose edges (a, b) are the set bits a*k + b of `occupied`, as lists of
@@ -287,11 +296,16 @@ def _difference_masks(
     a matching of colors, so the largest agreements come from the maximal
     matchings of the non-empty cells.  c's own relabellings differ from it
     on own[a] | own[b] for a swap, or on a superset of such a union.
+
+    The matchings depend only on k and the occupied cells, so they live in
+    the process-wide `_MATCHINGS` table: an atlas scan meets a few thousand
+    patterns across tens of thousands of own x rep pairs, and their
+    matchings hold a few hundred distinct tuples, which are interned.
     """
     full = (1 << n) - 1
-    matchings: dict[int, tuple[tuple[int, ...], ...]] = {}
     for own in owns:
         k = len(own)
+        matchings = _MATCHINGS.setdefault(k, {})
         masks = {own[a] | own[b] for a in range(k) for b in range(a + 1, k)}
         for rep in reps:
             cell = [ca & rb for ca in own for rb in rep]
@@ -299,9 +313,11 @@ def _difference_masks(
             for i, m in enumerate(cell):
                 if m:
                     occupied |= 1 << i
-            if occupied not in matchings:
-                matchings[occupied] = _maximal_matchings(k, occupied)
-            for matching in matchings[occupied]:
+            found = matchings.get(occupied)
+            if found is None:
+                found = matchings[occupied] = tuple(
+                    _INTERNED.setdefault(m, m) for m in _maximal_matchings(k, occupied))
+            for matching in found:
                 agree = 0
                 for i in matching:
                     agree |= cell[i]
@@ -324,7 +340,9 @@ def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
     Murakami-Uno's MMCS walk visits each minimal transversal once: branch
     on the unhit mask with the fewest candidate vertices, forbid the
     earlier siblings, and cut when a chosen vertex has no private mask
-    left.  Witnesses are the lexicographically least at their size.
+    left.  Witnesses are the lexicographically least vertex lists at their
+    size: of two distinct sets of one size, that is the one holding the
+    lowest bit of their symmetric difference, so one pass picks both.
     """
     hits = [0] * n  # per vertex: indices of the masks containing it
     for i, m in enumerate(masks):
@@ -345,9 +363,17 @@ def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
                     stack.append((chosen | 1 << v, kept + [unhit & hits[v]], unhit & ~hits[v], cand))
     if not found:
         return None
-    scs = min(found, key=lambda m: (m.bit_count(), bits(m)))
-    lcs = min(found, key=lambda m: (-m.bit_count(), bits(m)))
-    return scs.bit_count(), scs, lcs.bit_count(), lcs
+    scs = lcs = found[0]
+    low = high = scs.bit_count()
+    for m in found:
+        size = m.bit_count()
+        d = m ^ scs
+        if size < low or size == low and m & d & -d:
+            scs, low = m, size
+        d = m ^ lcs
+        if size > high or size == high and m & d & -d:
+            lcs, high = m, size
+    return low, scs, high, lcs
 
 
 def _check_proper(g: Graph, coloring: Coloring):

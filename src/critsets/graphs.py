@@ -531,15 +531,33 @@ def canonical_form(g: Graph) -> Graph:
     return g.relabel(min(orders, key=lambda order: _encode(g, order)))
 
 
+def _augmentation_roots(g: Graph) -> list[int]:
+    """The neighbourhoods a new vertex can take in g (as masks), one per
+    orbit under Aut(g): those that are the least mask of their orbit."""
+    size = 1 << g.n
+    maps = []
+    for perm in automorphism_generators(g):
+        image = [0] * size  # image[nb]: the mask nb mapped by perm
+        for nb in range(1, size):
+            low = nb & -nb
+            image[nb] = image[nb ^ low] | 1 << perm[low.bit_length() - 1]
+        maps.append(image)
+    return [nb for nb, root in enumerate(_orbit_roots(size, maps)) if root == nb]
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on n vertices as canonical forms, sorted by
     adjacency rows.
 
-    Built by vertex augmentation: each class on n - 1 vertices gets a new
-    vertex with each of the 2^(n-1) neighbourhoods, and `canonical_form`
-    merges the duplicates.  Capped at CANONICAL_CAP vertices (12346
-    classes on 8).
+    Built by vertex augmentation: each class g on n - 1 vertices gets a new
+    vertex joined to one neighbourhood per orbit of Aut(g) on vertex
+    subsets, since an automorphism mapping one neighbourhood onto another
+    extends, fixing the new vertex, to an isomorphism of the two extensions
+    (the orbit pruning of McKay, Isomorph-free exhaustive generation,
+    1998).  `canonical_form` merges the duplicates that remain.  Candidates
+    are symmetric by construction, so only the canonical relabelling
+    checks them.  Capped at CANONICAL_CAP vertices (12346 classes on 8).
     """
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
@@ -550,10 +568,13 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         return (Graph(0, ()),)
     seen: dict[tuple[int, ...], Graph] = {}
     for g in enumerate_graphs(n - 1):
-        for nb in range(1 << (n - 1)):
+        for nb in _augmentation_roots(g):
             rows = [row | (nb >> v & 1) << (n - 1) for v, row in enumerate(g.adj)]
             rows.append(nb)
-            cand = canonical_form(Graph(n, tuple(rows)))
+            cand = object.__new__(Graph)  # skips __post_init__'s checks
+            object.__setattr__(cand, "n", n)
+            object.__setattr__(cand, "adj", tuple(rows))
+            cand = canonical_form(cand)
             seen[cand.adj] = cand
     return tuple(sorted(seen.values(), key=lambda h: h.adj))
 

@@ -69,6 +69,7 @@ def test_params_k_flag(capsys):
     assert code == 0
     data = json.loads(out)
     assert (data["uscs"], data["olcs"]) == (2, 2)
+    assert (data["chi"], data["k"]) == (2, 3)
     code, _, err = run_cli(capsys, "params", "cycle:5", "--k", "2")
     assert code == 1 and "error" in err
 
@@ -199,3 +200,33 @@ def test_reduce_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reduce", "ulcs", "complete:2", "--verify")
     assert code == 0
     assert "consistent=True" in out and "ulcs(G)=4" in out
+
+
+def test_undecodable_input_and_stray_exceptions(capsys, tmp_path, monkeypatch):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x80")
+    for argv in (["scan", str(bad), "--check", "prop1"], ["params", str(bad)],
+                 ["sudoku", "certify", str(bad)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), argv
+
+    # an exception from outside the package is a bug: exit 3, one line
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("critsets.cli.four_params", broken)
+    code, out, err = run_cli(capsys, "params", "cycle:5")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["invariant breach: ZeroDivisionError: division by zero"]
+
+
+def test_scan_rejects_jobs_below_one(capsys, tmp_path):
+    path = tmp_path / "k3.g6"
+    path.write_text("Bw\n")
+    for jobs in ("0", "-2"):
+        code, out, err = run_cli(capsys, "--jobs", jobs, "scan", str(path), "--check", "prop1")
+        assert code == 1 and out == "", jobs
+        assert len(err.splitlines()) == 1 and "--jobs" in err, jobs
+    code, out, _ = run_cli(capsys, "--jobs", "1", "scan", str(path), "--check", "prop1")
+    assert code == 0 and "graphs=1" in out

@@ -43,14 +43,16 @@ def test_chromatic_number_examples():
 
 
 def test_chromatic_number_against_brute_force():
-    for g in enumerate_graphs(5):
-        chi = chromatic_number(g)
-        if g.n == 0:
-            assert chi == 0
-            continue
-        assert brute_force_proper_count(g, chi) > 0
-        if chi > 0:
-            assert brute_force_proper_count(g, chi - 1) == 0
+    # every graph on at most 6 vertices: a proper chi-coloring exists (first
+    # found by scanning all assignments) and no proper (chi-1)-coloring does
+    assert chromatic_number(make_empty(0)) == 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            chi = chromatic_number(g)
+            edges = g.edges()
+            assert any(all(c[u] != c[v] for u, v in edges)
+                       for c in product(range(chi), repeat=n)), g.adj
+            assert brute_force_proper_count(g, chi - 1) == 0, g.adj
 
 
 def test_enumerate_optimal_coloring_counts():

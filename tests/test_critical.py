@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from critsets.critical import (
     _class_masks,
     _determines,
     _difference_masks,
+    _maximal_matchings,
     _still_determines,
     _transversal_extremes,
     four_params,
@@ -349,6 +351,78 @@ def test_difference_masks_match_determining_point_checks():
                     for subset in range(1 << g.n):
                         hits_all = all(subset & m for m in masks)
                         assert hits_all == is_determining(g, coloring, subset), (g.adj, tup, subset)
+
+
+def _brute_maximal_matchings(k, occupied):
+    """Every edge subset of `occupied` that is a matching no edge of
+    `occupied` extends, as sorted edge indices."""
+    edges = bits(occupied)
+
+    def matching(sub):
+        rows = [i // k for i in sub]
+        cols = [i % k for i in sub]
+        return len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+
+    subsets = [sub for r in range(len(edges) + 1)
+               for sub in itertools.combinations(edges, r) if matching(sub)]
+    return sorted(sub for sub in subsets
+                  if not any(matching(sub + (e,)) for e in edges if e not in sub))
+
+
+def test_maximal_matchings_match_brute_force():
+    cases = [(k, occupied) for k in range(1, 4) for occupied in range(1 << (k * k))]
+    rng = random.Random(5)
+    for k in (4, 5, 6):
+        for _ in range(40):
+            cells = rng.sample(range(k * k), rng.randint(0, 12))
+            cases.append((k, mask_of(cells)))
+    for k, occupied in cases:
+        got = _maximal_matchings(k, occupied)
+        assert sorted(got) == _brute_maximal_matchings(k, occupied), (k, occupied)
+        assert len(set(got)) == len(got), (k, occupied)
+
+
+def test_difference_masks_match_definition(monkeypatch):
+    # each coloring's minimal masks are the minimal sets {v : c(v) != d(v)}
+    # over every other proper coloring d, listed by brute force; palettes
+    # shrink from an empty matching table, so a cell pattern met first at a
+    # larger k is met again at a smaller one
+    monkeypatch.setattr("critsets.critical._MATCHINGS", {})
+    small = [g for n in range(6) for g in enumerate_graphs(n)]
+    for k in (4, 3, 2, 1):
+        for g in small:
+            if chromatic_number(g) > k:
+                continue
+            n = g.n
+            proper = [d for d in itertools.product(range(k), repeat=n)
+                      if all(d[u] != d[v] for u, v in g.edges())]
+            tuples = list(canonical_colorings(g, k))
+            reps = [_class_masks(tup, k) for tup in tuples]
+            for tup, masks in zip(tuples, _difference_masks(reps, reps, n)):
+                diffs = {mask_of(v for v in range(n) if tup[v] != d[v]) for d in proper} - {0}
+                minimal = {m for m in diffs if not any(s != m and not s & ~m for s in diffs)}
+                assert sorted(masks) == sorted(minimal), (g.adj, k, tup)
+
+
+def _old_transversal_witnesses(masks, n):
+    """(scs, scs set, lcs, lcs set) over the minimal transversals of
+    `masks`, listed by brute force over all vertex subsets and picked by
+    the (size, sorted vertex list) key."""
+    hitting = {s for s in range(1 << n) if all(s & m for m in masks)}
+    found = [s for s in hitting if not any(s ^ 1 << v in hitting for v in bits(s))]
+    if not found:
+        return None
+    scs = min(found, key=lambda m: (m.bit_count(), bits(m)))
+    lcs = min(found, key=lambda m: (-m.bit_count(), bits(m)))
+    return scs.bit_count(), scs, lcs.bit_count(), lcs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=7))))
+def test_transversal_witnesses_are_lexicographically_least(case):
+    n, masks = case
+    assert _transversal_extremes(masks, n) == _old_transversal_witnesses(masks, n)
 
 
 def _unpruned_four_params(g, k):

@@ -9,6 +9,7 @@ from critsets.coloring import _orbit_leaders, canonical_colorings
 from critsets.errors import Graph6Error, InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     Graph,
+    _augmentation_roots,
     add_pendant_to_each,
     atlas_graphs,
     automorphism_generators,
@@ -28,6 +29,7 @@ from critsets.graphs import (
     make_cycle,
     make_empty,
     make_path,
+    mask_of,
     parse_graph6,
     strong_product,
 )
@@ -239,6 +241,31 @@ def test_enumeration_counts():
         enumerate_graphs(9)
     with pytest.raises(SizeLimitError):
         atlas_graphs(9)
+
+
+def test_pruned_augmentation_matches_unpruned():
+    # every neighbourhood of the new vertex, duplicates merged by
+    # canonical_form alone, gives the same classes in the same order
+    for n in range(1, 7):
+        seen = {}
+        for g in enumerate_graphs(n - 1):
+            for nb in range(1 << (n - 1)):
+                rows = [row | (nb >> v & 1) << (n - 1) for v, row in enumerate(g.adj)]
+                cand = canonical_form(Graph(n, tuple(rows) + (nb,)))
+                seen[cand.adj] = cand
+        assert enumerate_graphs(n) == tuple(sorted(seen.values(), key=lambda h: h.adj)), n
+
+
+def test_augmentation_roots_are_orbit_minima():
+    # the least mask of each orbit of Aut(g) on vertex subsets, with the
+    # group found by brute force over all n! orders
+    for n in range(6):
+        for i, g in enumerate(enumerate_graphs(n)):
+            for h in (g, _relabelled(g, 100 * n + i)):
+                aut = [p for p in itertools.permutations(range(n)) if _is_automorphism(h, p)]
+                least = {min(mask_of(p[v] for v in bits(nb)) for p in aut)
+                         for nb in range(1 << n)}
+                assert _augmentation_roots(h) == sorted(least), h.adj
 
 
 def test_atlas_matches_networkx_atlas():
