@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedError,
 )
 from .graphs import Graph, bits, cartesian_product, make_complete
-from .reductions import reduce_olcs, reduce_ulcs, verify_reduction_small
+from .reductions import reduce_olcs, reduce_ulcs, verify_instance
 
 GENERATORS = {
     "cycle": graphs.make_cycle,
@@ -231,8 +231,8 @@ def cmd_reduce(args) -> int:
             json.dump(instance.role_map_json(), fh, indent=2)
         print(f"wrote {args.out}.g6 and {args.out}.roles.json", file=sys.stderr)
     if args.verify:
-        report = verify_reduction_small(
-            h, args.variant, mode=args.mode, samples=args.samples,
+        report = verify_instance(
+            instance, mode=args.mode, samples=args.samples,
             seed=args.seed, max_vertices=args.max_vertices,
         )
         value = "" if report.exact_value is None else f" {args.variant}(G)={report.exact_value}"

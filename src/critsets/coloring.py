@@ -3,8 +3,8 @@ enumeration, and capped extension counting for partial assignments.
 
 Colorings are quotiented by palette permutation throughout; the canonical
 orbit representative assigns colors in first-use order by vertex index.
-The extension counter `_count` walks adjacency lists, and every caller
-passes `Graph.neighbor_lists`, which each graph builds once.
+Every vertex walk here, the extension counter `_count` included, reads
+`Graph.neighbor_lists`, which each graph builds once.
 """
 
 from __future__ import annotations
@@ -173,11 +173,12 @@ def _greedy_clique(g: Graph, order: list[int], enough: int) -> VertexSet:
 
 def _greedy_color_count(g: Graph, order: list[int]) -> int:
     """Colors used by first-fit coloring in `order`."""
+    nbrs = g.neighbor_lists
     colors: dict[int, int] = {}
     used = 0
     for v in order:
         taken = 0
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             if w in colors:
                 taken |= 1 << colors[w]
         c = 0
@@ -235,7 +236,7 @@ def canonical_colorings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         return
     if k == 0:
         return
-    lower = [[u for u in g.neighbors(v) if u < v] for v in range(n)]
+    lower = [[u for u in nbrs if u < v] for v, nbrs in enumerate(g.neighbor_lists)]
     colors = [0] * n
 
     def rec(v: int, used: int) -> Iterator[tuple[int, ...]]:
@@ -297,9 +298,9 @@ def is_uniquely_colorable(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) ->
 def colorful_vertices(g: Graph, coloring: Coloring) -> VertexSet:
     """Vertices whose closed neighborhood shows all k palette colors."""
     out = 0
-    for v in range(g.n):
+    for v, nbrs in enumerate(g.neighbor_lists):
         seen = 1 << coloring.colors[v]
-        for w in g.neighbors(v):
+        for w in nbrs:
             seen |= 1 << coloring.colors[w]
         if seen.bit_count() == coloring.k:
             out |= 1 << v
@@ -325,13 +326,14 @@ def sample_proper_coloring(g: Graph, k: int, rng: random.Random) -> Coloring:
         _shuffle(p, getrandbits)
         palettes.append(p)
 
+    nbrs = g.neighbor_lists
     tried = [0] * g.n  # per level: how many colors of palettes[i] are used up
     i = 0
     while 0 <= i < g.n:
         v = order[i]
         colors[v] = -1
         taken = 0
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             if colors[w] >= 0:
                 taken |= 1 << colors[w]
         p = palettes[i]

@@ -45,17 +45,12 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise InvalidParameterError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row >> self.n:
                 raise InvalidParameterError(f"row {v} has bits beyond vertex range")
             if row >> v & 1:
                 raise InvalidParameterError(f"loop at vertex {v}")
-            m = row & full
-            while m:
-                b = m & -m
-                m ^= b
-                w = b.bit_length() - 1
+            for w in bits(row):
                 if not self.adj[w] >> v & 1:
                     raise InvalidParameterError(f"asymmetric edge ({v},{w})")
 
@@ -79,37 +74,28 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return bits(self.adj[v])
-
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         """Every vertex's neighbors, ascending, built once per graph (kept in
-        the instance __dict__, which equality and hashing ignore)."""
+        the instance __dict__, which equality and hashing ignore).  Every
+        vertex walk reads these lists; the rows `adj` serve set algebra."""
         return tuple(tuple(bits(row)) for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            row = self.adj[v] >> (v + 1) << (v + 1)
-            for w in bits(row):
-                out.append((v, w))
-        return out
+        """Each edge once as (v, w) with v < w, by v and then w ascending."""
+        return [(v, w) for v, nbrs in enumerate(self.neighbor_lists) for w in nbrs if w > v]
 
     def relabel(self, perm) -> "Graph":
         """Graph with new vertex i = old vertex perm[i]."""
         pos = [0] * self.n
         for i, v in enumerate(perm):
             pos[v] = i
-        rows = [0] * self.n
-        for i, v in enumerate(perm):
-            m = self.adj[v]
+        rows = []
+        for v in perm:
             r = 0
-            while m:
-                b = m & -m
-                m ^= b
-                r |= 1 << pos[b.bit_length() - 1]
-            rows[i] = r
+            for w in bits(self.adj[v]):
+                r |= 1 << pos[w]
+            rows.append(r)
         return Graph(self.n, tuple(rows))
 
 
@@ -167,14 +153,15 @@ def add_pendant_to_each(g: Graph) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product on U x V with row-major indexing (u*h.n + v)."""
     n = g.n * h.n
+    g_nbrs, h_nbrs = g.neighbor_lists, h.neighbor_lists
     edges = []
     for u in range(g.n):
         for v in range(h.n):
             a = u * h.n + v
-            for w in h.neighbors(v):
+            for w in h_nbrs[v]:
                 if w > v:
                     edges.append((a, u * h.n + w))
-            for x in g.neighbors(u):
+            for x in g_nbrs[u]:
                 if x > u:
                     edges.append((a, x * h.n + v))
     return Graph.from_edges(n, edges)
@@ -230,13 +217,14 @@ def connected_components(g: Graph) -> list[VertexSet]:
 def bipartition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """A 2-coloring (side0, side1) if g is bipartite, else None."""
     side = [None] * g.n
+    nbrs = g.neighbor_lists
     for comp in connected_components(g):
         root = bits(comp)[0]
         side[root] = 0
         queue = [root]
         while queue:
             v = queue.pop()
-            for w in g.neighbors(v):
+            for w in nbrs[v]:
                 if side[w] is None:
                     side[w] = side[v] ^ 1
                     queue.append(w)
@@ -257,11 +245,8 @@ def induced_subgraph(g: Graph, vertex_mask: VertexSet) -> tuple[Graph, list[int]
     rows = []
     for v in verts:
         r = 0
-        m = g.adj[v] & vertex_mask
-        while m:
-            b = m & -m
-            m ^= b
-            r |= 1 << pos[b.bit_length() - 1]
+        for w in bits(g.adj[v] & vertex_mask):
+            r |= 1 << pos[w]
         rows.append(r)
     return Graph(len(verts), tuple(rows)), verts
 
@@ -482,7 +467,8 @@ def _first_path_search(g: Graph):
             found = search(_individualize(before, t, w), level)
             if found is not None:
                 generators.append(found)
-                roots = _orbit_roots(n, generators)
+                # roots, read as a map v -> root, carries the orbits so far
+                roots = _orbit_roots(n, (roots, found))
         stab_roots[level] = roots
     return path, first, generators, stab_roots
 

@@ -114,7 +114,7 @@ def reduce_olcs(h: Graph) -> ReductionInstance:
     """Instance whose max-lcs reaches k iff h is 3-colorable."""
     m = h.m
     replicas = 2 * m + 2
-    incident = [sorted((min(u, w), max(u, w)) for w in h.neighbors(u)) for u in range(h.n)]
+    incident = [sorted((min(u, w), max(u, w)) for w in ws) for u, ws in enumerate(h.neighbor_lists)]
     roles = []
     x_index: dict[tuple[int, tuple[int, int]], int] = {}
     idx = 0
@@ -200,21 +200,35 @@ def verify_reduction_small(
     seed: int = 0,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> ReductionReport:
-    """Check an instance against its theorem at feasible scale.
-
-    Full mode computes the exact parameter of G and tests the biconditional
-    against 3-colorability of H.  Certificate mode checks the direction the
-    construction proves explicitly: forced replicas over monochromatic
-    edges (min-lcs variant, H not 3-colorable), or a certified critical set
-    of size >= k containing all replicas (max-lcs variant, H 3-colorable).
-    """
+    """Build the `variant` instance of h and check it with `verify_instance`."""
     if variant == ULCS:
         instance = reduce_ulcs(h)
     elif variant == OLCS:
         instance = reduce_olcs(h)
     else:
         raise InvalidParameterError(f"unknown variant {variant!r}")
-    g = instance.graph
+    return verify_instance(instance, mode, samples, seed, max_vertices)
+
+
+def verify_instance(
+    instance: ReductionInstance,
+    mode: str = "auto",
+    samples: int = 20,
+    seed: int = 0,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+) -> ReductionReport:
+    """Check a built instance against its theorem at feasible scale.
+
+    Full mode computes the exact parameter of G and tests the biconditional
+    against 3-colorability of H.  Certificate mode checks the direction the
+    construction proves explicitly: forced replicas over monochromatic
+    edges (min-lcs variant, H not 3-colorable), or a certified critical set
+    of size >= k containing all replicas (max-lcs variant, H 3-colorable).
+    The sampled checks take `samples` seeded colorings, at least one.
+    """
+    if samples < 1:
+        raise InvalidParameterError(f"samples must be at least 1 (got {samples})")
+    variant, h, g = instance.variant, instance.source, instance.graph
     three_col = h.n == 0 or chromatic_number(h) <= 3
     if mode == "auto":
         mode = "full" if g.n <= FULL_THRESHOLD else "certificate"

@@ -26,7 +26,7 @@ from .critical import _determines, _difference_masks, _transversal_extremes, is_
 from .errors import InternalError, InvalidParameterError, SizeLimitError, UnsupportedError
 from .graphs import Graph, VertexSet, bits
 
-DEFAULT_MAX_CELLS = 4096
+MAX_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -55,29 +55,31 @@ class SudokuStructure:
         return (row // self.n) * self.n + col // self.n
 
 
-def sudoku_graph(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> SudokuStructure:
-    """Build the order-n Sudoku graph directly from row/column/box cliques."""
+@lru_cache(maxsize=None)
+def _board_slots(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per cell of an order-n board, its row, column and box slots among
+    3n^2 units (rows, then columns, then boxes): the one cell layout, read
+    by `sudoku_graph` and by `_board_search`'s `used` list."""
+    side = n * n
+    return tuple((r, side + c, 2 * side + (r // n) * n + c // n)
+                 for r, c in (divmod(v, side) for v in range(side * side)))
+
+
+def sudoku_graph(n: int) -> SudokuStructure:
+    """Build the order-n Sudoku graph directly from row/column/box cliques,
+    the units of `_board_slots`."""
     if n < 1:
         raise InvalidParameterError("box order must be at least 1")
-    side = n * n
-    cells = side * side
-    if cells > max_cells:
-        raise SizeLimitError(f"sudoku graph with {cells} cells exceeds cap {max_cells}")
-    row_mask = [0] * side
-    col_mask = [0] * side
-    box_mask = [0] * side
-    for v in range(cells):
-        r, c = divmod(v, side)
-        b = (r // n) * n + c // n
-        row_mask[r] |= 1 << v
-        col_mask[c] |= 1 << v
-        box_mask[b] |= 1 << v
-    rows = []
-    for v in range(cells):
-        r, c = divmod(v, side)
-        b = (r // n) * n + c // n
-        rows.append((row_mask[r] | col_mask[c] | box_mask[b]) & ~(1 << v))
-    return SudokuStructure(n, Graph(cells, tuple(rows)))
+    cells = n ** 4
+    if cells > MAX_CELLS:
+        raise SizeLimitError(f"sudoku graph with {cells} cells exceeds cap {MAX_CELLS}")
+    slots = _board_slots(n)
+    units = [0] * (3 * n * n)  # vertex mask of each row, column and box slot
+    for v, cell in enumerate(slots):
+        for unit in cell:
+            units[unit] |= 1 << v
+    rows = tuple((units[r] | units[c] | units[b]) & ~(1 << v) for v, (r, c, b) in enumerate(slots))
+    return SudokuStructure(n, Graph(cells, rows))
 
 
 def canonical_board(n: int) -> Coloring:
@@ -98,15 +100,6 @@ def _check_board(structure: SudokuStructure, board: Coloring):
 
 # free-color mask -> its colors in ascending order, shared by all searches
 _MASK_COLORS: dict[int, tuple[int, ...]] = {}
-
-
-@lru_cache(maxsize=None)
-def _board_slots(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per cell of an order-n board, its row, column and box slots in
-    `_board_search`'s `used` list."""
-    side = n * n
-    return tuple((r, side + c, 2 * side + (r // n) * n + c // n)
-                 for r, c in (divmod(v, side) for v in range(side * side)))
 
 
 def _board_search(n: int, rng: random.Random | None, collect: list | None) -> tuple[int, ...] | None:
@@ -238,7 +231,7 @@ def neighbor_color_counts(structure: SudokuStructure, board: Coloring, v: int) -
     _check_board(structure, board)
     own = board.colors[v]
     counts: dict[int, int] = {c: 0 for c in range(structure.side) if c != own}
-    for w in structure.graph.neighbors(v):
+    for w in structure.graph.neighbor_lists[v]:
         counts[board.colors[w]] += 1
     return counts
 

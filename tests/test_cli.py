@@ -230,3 +230,15 @@ def test_scan_rejects_jobs_below_one(capsys, tmp_path):
         assert len(err.splitlines()) == 1 and "--jobs" in err, jobs
     code, out, _ = run_cli(capsys, "--jobs", "1", "scan", str(path), "--check", "prop1")
     assert code == 0 and "graphs=1" in out
+
+
+def test_reduce_verify_rejects_samples_below_one(capsys):
+    for variant in ("ulcs", "olcs"):
+        for samples in ("0", "-3"):
+            code, out, err = run_cli(capsys, "reduce", variant, "complete:4", "--verify",
+                                     "--samples", samples)
+            assert code == 1 and "consistent" not in out, (variant, samples)
+            assert len(err.splitlines()) == 1 and "samples" in err, (variant, samples)
+        code, out, _ = run_cli(capsys, "reduce", variant, "complete:4", "--verify",
+                               "--samples", "1")
+        assert code == 0 and "consistent=True: 1 sampled" in out, variant

@@ -171,6 +171,7 @@ def test_neighbor_lists_are_cached_rows():
         lists = g.neighbor_lists
         assert [list(nbrs) for nbrs in lists] == [bits(row) for row in g.adj]
         assert g.neighbor_lists is lists
+        assert g.edges() == [(v, w) for v in range(g.n) for w in bits(g.adj[v]) if w > v]
         # the cache is not a field: equality and hashing ignore it
         assert g == copy and hash(g) == key == hash(copy)
         # the path graphs take to scan's worker processes
