@@ -8,6 +8,11 @@ sudoku:N, latin:N.
 Exit codes: 0 success, 1 input error (undecodable input text too),
 2 size limit, 3 invariant breach or any other exception; every failure
 prints one line on stderr.
+
+Start-up loads graphs, coloring, critical and errors, which every
+subcommand runs.  The rest is imported by the code that runs it: scan by
+`table` and `scan`, sudoku by `sudoku` and the sudoku:N source, and
+reductions by `reduce`.  formulas is never loaded.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import json
 import os
 import sys
 
-from . import graphs, scan, sudoku
+from . import graphs
 from .coloring import DEFAULT_MAX_VERTICES, Coloring, chromatic_number
-from .critical import PARAM_NAMES, ParamQuad, four_params
+from .critical import CHECKS, PARAM_NAMES, ParamQuad, four_params
 from .errors import (
     CritsetsError,
     Graph6Error,
@@ -30,7 +35,13 @@ from .errors import (
     UnsupportedError,
 )
 from .graphs import Graph, bits, cartesian_product, make_complete
-from .reductions import reduce_olcs, reduce_ulcs, verify_instance
+
+
+def _sudoku_graph(n: int) -> Graph:
+    from .sudoku import sudoku_graph
+
+    return sudoku_graph(n).graph
+
 
 GENERATORS = {
     "cycle": graphs.make_cycle,
@@ -38,7 +49,7 @@ GENERATORS = {
     "path": graphs.make_path,
     "empty": graphs.make_empty,
     "latin": lambda n: cartesian_product(make_complete(n), make_complete(n)),
-    "sudoku": lambda n: sudoku.sudoku_graph(n).graph,
+    "sudoku": _sudoku_graph,
 }
 
 
@@ -100,10 +111,12 @@ def cmd_params(args) -> int:
 
 
 def _table_records(n: int, nonbipartite: bool, max_vertices: int):
+    from .scan import record_for_graph
+
     for g in graphs.atlas_graphs(n):
         if nonbipartite and graphs.is_bipartite(g):
             continue
-        yield scan.record_for_graph(g, max_vertices=max_vertices)
+        yield record_for_graph(g, max_vertices=max_vertices)
 
 
 def cmd_table(args) -> int:
@@ -120,6 +133,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import scan
+
     if args.progress < 0:
         raise InvalidParameterError(f"--progress must be nonnegative (got {args.progress})")
     if args.jobs < 1:
@@ -169,6 +184,8 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_sudoku(args) -> int:
+    from . import sudoku
+
     if args.action == "gen":
         structure = sudoku.sudoku_graph(args.n)
         g = structure.graph
@@ -220,7 +237,11 @@ def cmd_sudoku(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reductions import check_verify_inputs, reduce_olcs, reduce_ulcs, verify_instance
+
     h = load_graph_source(args.source)
+    if args.verify:  # a bad sample count or an H over the cap fails before the build
+        check_verify_inputs(h, args.samples, args.max_vertices)
     instance = reduce_ulcs(h) if args.variant == "ulcs" else reduce_olcs(h)
     print(f"variant={instance.variant} |V(G)|={instance.graph.n} "
           f"|E(G)|={instance.graph.m} k={instance.k}")
@@ -269,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="implication checks over a graph6 file")
     p.add_argument("file")
-    p.add_argument("--check", choices=scan.CHECKS, required=True)
+    p.add_argument("--check", choices=CHECKS, required=True)
     p.add_argument("--progress", type=int, default=0,
                    help="report every N graphs on stderr (0: never)")
     p.set_defaults(func=cmd_scan)

@@ -316,9 +316,11 @@ def sample_proper_coloring(g: Graph, k: int, rng: random.Random) -> Coloring:
     shallow on graphs with many low-degree pendants.
     """
     getrandbits = rng.getrandbits
+    nbrs = g.neighbor_lists
     order = list(range(g.n))
     _shuffle(order, getrandbits)
-    order.sort(key=g.degree, reverse=True)
+    degree = [len(row) for row in nbrs]  # one list per call, not a bit count per comparison
+    order.sort(key=degree.__getitem__, reverse=True)
     colors = [-1] * g.n
     palettes = []
     for v in order:
@@ -326,7 +328,6 @@ def sample_proper_coloring(g: Graph, k: int, rng: random.Random) -> Coloring:
         _shuffle(p, getrandbits)
         palettes.append(p)
 
-    nbrs = g.neighbor_lists
     tried = [0] * g.n  # per level: how many colors of palettes[i] are used up
     i = 0
     while 0 <= i < g.n:

@@ -69,6 +69,8 @@ from .errors import InternalError, InvalidParameterError, SizeLimitError
 from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph
 
 PARAM_NAMES = ("uscs", "oscs", "ulcs", "olcs")
+# the implications about a quad that `scan.implication_holds` tests
+CHECKS = ("prop1", "converse", "uniform")
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,16 @@ def verify_reduction_small(
     return verify_instance(instance, mode, samples, seed, max_vertices)
 
 
+def check_verify_inputs(h: Graph, samples: int,
+                        max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
+    """Whether h is 3-colorable, after rejecting a sample count below 1 and
+    an h over `max_vertices`.  `verify_instance` starts with this; it needs
+    no gadget, so the CLI calls it before building one."""
+    if samples < 1:
+        raise InvalidParameterError(f"samples must be at least 1 (got {samples})")
+    return h.n == 0 or chromatic_number(h, max_vertices) <= 3
+
+
 def verify_instance(
     instance: ReductionInstance,
     mode: str = "auto",
@@ -226,10 +236,8 @@ def verify_instance(
     of size >= k containing all replicas (max-lcs variant, H 3-colorable).
     The sampled checks take `samples` seeded colorings, at least one.
     """
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be at least 1 (got {samples})")
     variant, h, g = instance.variant, instance.source, instance.graph
-    three_col = h.n == 0 or chromatic_number(h) <= 3
+    three_col = check_verify_inputs(h, samples, max_vertices)
     if mode == "auto":
         mode = "full" if g.n <= FULL_THRESHOLD else "certificate"
     value = None

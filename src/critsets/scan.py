@@ -9,11 +9,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .coloring import DEFAULT_MAX_VERTICES, canonical_colorings
-from .critical import four_params
+from .critical import CHECKS, four_params
 from .errors import Graph6Error
 from .graphs import Graph, emit_graph6, parse_graph6
-
-CHECKS = ("prop1", "converse", "uniform")
 
 
 @dataclass(frozen=True)

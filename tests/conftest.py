@@ -20,29 +20,31 @@ def brute_force_proper_count(g: Graph, k: int) -> int:
     )
 
 
-def brute_force_four_params(g: Graph) -> tuple[int, int, int, int]:
-    """(uscs, oscs, ulcs, olcs) straight from the definitions.
+def brute_force_four_params(g: Graph, k: int | None = None) -> tuple[int, int, int, int]:
+    """(uscs, oscs, ulcs, olcs) over proper k-colorings (default k = chi),
+    straight from the definitions.
 
-    Enumerates every proper chi-coloring (no orbit quotient), tests
+    Enumerates every proper k-coloring (no orbit quotient), tests
     determining by counting agreeing colorings, and takes inclusion-minimal
-    sets as critical.  Exponential everywhere; fine up to 6 vertices.
+    sets as critical.  Exponential everywhere; fine up to 6 vertices at
+    chi, and up to 5 at chi + 1.
     """
     edges = g.edges()
-    chi = 0
-    while True:
-        colorings = [
-            c
-            for c in product(range(chi), repeat=g.n)
-            if all(c[u] != c[v] for u, v in edges)
-        ]
-        if colorings or g.n == 0:
-            break
-        chi += 1
+
+    def proper(k):
+        return [c for c in product(range(k), repeat=g.n) if all(c[u] != c[v] for u, v in edges)]
+
+    if k is None:
+        k = 0
+        while not (colorings := proper(k)) and g.n:
+            k += 1
+    else:
+        colorings = proper(k)
 
     def determining(c):
         # per subset S (as a bitmask): c is the only coloring agreeing with
         # c on S, i.e. every other coloring differs from c somewhere in S
-        agree = [sum(1 << v for v in range(g.n) if d[v] == c[v]) for d in colorings if d != c]
+        agree = {sum(1 << v for v in range(g.n) if d[v] == c[v]) for d in colorings if d != c}
         return [all(s & ~a for a in agree) for s in range(1 << g.n)]
 
     scs_values, lcs_values = [], []

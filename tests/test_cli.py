@@ -22,11 +22,43 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # only scans with --jobs > 1 start a pool, so only they import it
+    # only scans with --jobs > 1 start a pool, so only they import it; and
+    # each subcommand loads the four core modules plus only what it runs
     src = str(Path(critsets.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, critsets.cli; sys.exit('multiprocessing' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, critsets.cli\n"
+            "if sys.argv[1:]: critsets.cli.main(sys.argv[1:])\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('critsets', 'multiprocessing')))")
+    core = {"critsets", "critsets.cli", "critsets.coloring", "critsets.critical",
+            "critsets.errors", "critsets.graphs"}
+    cases = [
+        ([], core),
+        (["params", "empty:1"], core),
+        (["atlas", "4"], core),
+        (["table", "3"], core | {"critsets.scan"}),
+        (["params", "sudoku:2"], core | {"critsets.sudoku"}),
+        (["sudoku", "mnc"], core | {"critsets.sudoku"}),
+        (["reduce", "ulcs", "complete:3", "--verify"], core | {"critsets.reductions"}),
+    ]
+    for argv, expected in cases:
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, (argv, run.stderr)
+        assert set(run.stdout.splitlines()[-1].split()) == expected, argv
+
+
+def test_package_names_are_their_submodules_objects():
+    # the lazy namespace hands out the submodule's own object for every name
+    from critsets import four_params
+
+    assert four_params is sys.modules["critsets.critical"].four_params
+    for name in critsets.__all__:
+        obj = getattr(critsets, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert obj.__module__.startswith("critsets."), name
+    with pytest.raises(AttributeError):
+        critsets.no_such_name
 
 
 def test_load_graph_source(tmp_path):
@@ -202,6 +234,16 @@ def test_reduce_command(capsys, tmp_path):
     assert "consistent=True" in out and "ulcs(G)=4" in out
 
 
+def test_reduce_verify_caps_h_before_building(capsys, tmp_path, monkeypatch):
+    # K21 is over the cap, so the 48744-vertex gadget is never built
+    built = []
+    monkeypatch.setattr("critsets.reductions.reduce_ulcs", built.append)
+    code, out, err = run_cli(capsys, "--max-vertices", "20", "reduce", "ulcs", "complete:21",
+                             "--verify", "--out", str(tmp_path / "g"))
+    assert (code, out, built, list(tmp_path.iterdir())) == (2, "", [], [])
+    assert err.splitlines() == ["size limit: chromatic_number capped at 20 vertices"]
+
+
 def test_undecodable_input_and_stray_exceptions(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe\x80")
@@ -232,13 +274,16 @@ def test_scan_rejects_jobs_below_one(capsys, tmp_path):
     assert code == 0 and "graphs=1" in out
 
 
-def test_reduce_verify_rejects_samples_below_one(capsys):
+def test_reduce_verify_rejects_samples_below_one(capsys, tmp_path):
+    # rejected before the gadget is built: no header, no --out files
+    prefix = str(tmp_path / "g")
     for variant in ("ulcs", "olcs"):
         for samples in ("0", "-3"):
             code, out, err = run_cli(capsys, "reduce", variant, "complete:4", "--verify",
-                                     "--samples", samples)
-            assert code == 1 and "consistent" not in out, (variant, samples)
+                                     "--samples", samples, "--out", prefix)
+            assert code == 1 and out == "", (variant, samples)
             assert len(err.splitlines()) == 1 and "samples" in err, (variant, samples)
+            assert list(tmp_path.iterdir()) == [], (variant, samples)
         code, out, _ = run_cli(capsys, "reduce", variant, "complete:4", "--verify",
                                "--samples", "1")
         assert code == 0 and "consistent=True: 1 sampled" in out, variant

@@ -336,6 +336,16 @@ def test_engine_matches_definitional_brute_force():
         assert four_params(g).values() == brute_force_four_params(g), g.adj
 
 
+def test_engine_matches_definitions_with_a_spare_color():
+    # the same dual route at k = chi + 1, on every class up to 5 vertices
+    from conftest import brute_force_four_params
+
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            k = chromatic_number(g) + 1
+            assert four_params(g, k).values() == brute_force_four_params(g, k), g.adj
+
+
 def test_difference_masks_match_determining_point_checks():
     # a set determines the coloring iff it hits every difference mask; the
     # masks come from palette-orbit representatives and matchings, the point

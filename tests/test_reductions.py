@@ -11,7 +11,7 @@ from critsets.coloring import (
     sample_proper_coloring,
 )
 from critsets.critical import four_params, is_determining
-from critsets.errors import InvalidParameterError
+from critsets.errors import InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     bits,
     cartesian_product,
@@ -28,6 +28,7 @@ from critsets.reductions import (
     proof_coloring_ulcs,
     reduce_olcs,
     reduce_ulcs,
+    verify_instance,
     verify_reduction_small,
 )
 
@@ -197,6 +198,14 @@ def test_verify_certificate_modes():
     assert rep.mode == "certificate" and rep.consistent
     assert (rep.g_vertices, rep.k) == (2091, 2054)
     assert rep.detail.startswith("certified critical set of size 2079 ")
+
+
+def test_verify_caps_h_at_max_vertices():
+    # H's 3-colorability is computed under the caller's vertex cap too
+    instance = reduce_ulcs(make_complete(5))
+    with pytest.raises(SizeLimitError):
+        verify_instance(instance, max_vertices=4)
+    assert verify_instance(instance, max_vertices=5).consistent
 
 
 def test_role_map_json():
