@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 input error (undecodable input text too),
 2 size limit, 3 invariant breach or any other exception; every failure
 prints one line on stderr.
 
+No option moves a size limit: each exact search refuses what it would
+walk above `coloring.MAX_VERTICES` vertices (see there), and `reduce`
+refuses a gadget graph6 cannot write before building it.
+
 Start-up loads graphs, coloring, critical and errors, which every
 subcommand runs.  The rest is imported by the code that runs it: scan by
 `table` and `scan`, sudoku by `sudoku` and the sudoku:N source, and
@@ -24,7 +28,7 @@ import os
 import sys
 
 from . import graphs
-from .coloring import DEFAULT_MAX_VERTICES, Coloring, chromatic_number
+from .coloring import Coloring, chromatic_number
 from .critical import CHECKS, PARAM_NAMES, ParamQuad, four_params
 from .errors import (
     CritsetsError,
@@ -91,9 +95,9 @@ def _quad_json(quad: ParamQuad) -> dict:
 
 def cmd_params(args) -> int:
     g = load_graph_source(args.source)
-    quad = four_params(g, args.k, max_vertices=args.max_vertices)
+    quad = four_params(g, args.k)
     k = quad.witnesses["uscs"][0].k  # the palette four_params colored with
-    chi = k if args.k is None else chromatic_number(g, args.max_vertices)
+    chi = k if args.k is None else chromatic_number(g)
     if args.format == "json":
         print(json.dumps({"source": args.source, "n": g.n, "m": g.m, "chi": chi,
                           "k": k, **_quad_json(quad)}))
@@ -110,17 +114,17 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _table_records(n: int, nonbipartite: bool, max_vertices: int):
+def _table_records(n: int, nonbipartite: bool):
     from .scan import record_for_graph
 
     for g in graphs.atlas_graphs(n):
         if nonbipartite and graphs.is_bipartite(g):
             continue
-        yield record_for_graph(g, max_vertices=max_vertices)
+        yield record_for_graph(g)
 
 
 def cmd_table(args) -> int:
-    records = list(_table_records(args.n, args.nonbipartite, args.max_vertices))
+    records = list(_table_records(args.n, args.nonbipartite))
     if args.format == "json":
         print(json.dumps([rec.__dict__ for rec in records]))
         return 0
@@ -141,10 +145,7 @@ def cmd_scan(args) -> int:
         raise InvalidParameterError(f"--jobs must be at least 1 (got {args.jobs})")
     with open(args.file) as fh:
         lines = fh.readlines()
-    report = scan.scan_graph6_lines(
-        lines, args.check, jobs=args.jobs, max_vertices=args.max_vertices,
-        progress=args.progress,
-    )
+    report = scan.scan_graph6_lines(lines, args.check, jobs=args.jobs, progress=args.progress)
     if args.format == "json":
         print(json.dumps({
             "check": report.check,
@@ -173,13 +174,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for g in graphs.atlas_graphs(args.n):
-            print(graphs.emit_graph6(g), file=out)
-    finally:
-        if args.out:
-            out.close()
+    text = "".join(graphs.emit_graph6(g) + "\n" for g in graphs.atlas_graphs(args.n))
+    if args.out:  # opened only after a bad n has failed
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -219,11 +219,13 @@ def cmd_sudoku(args) -> int:
             raise InternalError("reported witness failed certification")
         return 0
     if args.action == "certify":
+        cap = args.cap_extensions
+        if cap < 2:
+            raise InvalidParameterError(f"--cap-extensions must be at least 2 (got {cap})")
         with open(args.file) as fh:
             text = fh.read()
         n, clues = sudoku.parse_board_text(text)
         structure = sudoku.sudoku_graph(n)
-        cap = max(2, args.cap_extensions)
         count = sudoku.count_puzzle_completions(structure, clues, cap=cap)
         if count == 1:
             print("fair")
@@ -237,12 +239,15 @@ def cmd_sudoku(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .reductions import check_verify_inputs, reduce_olcs, reduce_ulcs, verify_instance
+    from . import reductions
 
     h = load_graph_source(args.source)
-    if args.verify:  # a bad sample count or an H over the cap fails before the build
-        check_verify_inputs(h, args.samples, args.max_vertices)
-    instance = reduce_ulcs(h) if args.variant == "ulcs" else reduce_olcs(h)
+    # a gadget graph6 cannot write, a bad sample count or an H over the cap
+    # fails before the build
+    reductions.gadget_order(h, args.variant)
+    if args.verify:
+        reductions.check_verify_inputs(h, args.samples)
+    instance = (reductions.reduce_ulcs if args.variant == "ulcs" else reductions.reduce_olcs)(h)
     print(f"variant={instance.variant} |V(G)|={instance.graph.n} "
           f"|E(G)|={instance.graph.m} k={instance.k}")
     if args.out:
@@ -252,10 +257,7 @@ def cmd_reduce(args) -> int:
             json.dump(instance.role_map_json(), fh, indent=2)
         print(f"wrote {args.out}.g6 and {args.out}.roles.json", file=sys.stderr)
     if args.verify:
-        report = verify_instance(
-            instance, mode=args.mode, samples=args.samples,
-            seed=args.seed, max_vertices=args.max_vertices,
-        )
+        report = reductions.verify_instance(instance, args.mode, args.samples, args.seed)
         value = "" if report.exact_value is None else f" {args.variant}(G)={report.exact_value}"
         print(f"verify mode={report.mode}{value} k={report.k} "
               f"H_3colorable={report.h_three_colorable} "
@@ -271,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact critical-set computations for graph colorings",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    parser.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
-                        help=f"exact-search vertex cap (default {DEFAULT_MAX_VERTICES})")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = action.add_parser("certify", help="fair/unfair check for a puzzle file")
     q.add_argument("file")
     q.add_argument("--cap-extensions", type=int, default=2,
-                   help="extension-count truncation (default 2)")
+                   help="extension-count truncation, at least 2 (default 2)")
     q.set_defaults(func=cmd_sudoku)
 
     p = sub.add_parser("reduce", help="build a hardness gadget instance")

@@ -1,6 +1,10 @@
 """Exact coloring computations: chromatic number, palette-orbit coloring
 enumeration, and capped extension counting for partial assignments.
 
+Size rule: each exponential search refuses to walk more than
+`MAX_VERTICES` vertices: `chromatic_number` when it must count, the
+enumeration here on the whole graph, `critical` per component.
+
 Colorings are quotiented by palette permutation throughout; the canonical
 orbit representative assigns colors in first-use order by vertex index.
 Every vertex walk here, the extension counter `_count` included, reads
@@ -12,12 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Mapping
 
 from .errors import InvalidParameterError, SizeLimitError
 from .graphs import Graph, VertexSet, _orbit_roots, automorphism_generators, bits
 
-DEFAULT_MAX_VERTICES = 20
+MAX_VERTICES = 20  # most vertices one exponential search walks
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,7 @@ def _greedy_color_count(g: Graph, order: list[int]) -> int:
     return used
 
 
-def chromatic_number(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
+def chromatic_number(g: Graph) -> int:
     """Minimum k admitting a proper k-coloring; 0 for the empty graph.
 
     First-fit coloring in descending degree order gives an upper bound hi,
@@ -197,10 +202,8 @@ def chromatic_number(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
     bound and a pin.  The clique search stops at a clique of hi vertices,
     which proves chi = hi with no count at all; otherwise each k from the
     clique size up to hi - 1 is tried by `_count`, with the clique pinned to
-    distinct colors.
+    distinct colors; that count is refused above `MAX_VERTICES` vertices.
     """
-    if g.n > max_vertices:
-        raise SizeLimitError(f"chromatic_number capped at {max_vertices} vertices")
     if g.n == 0:
         return 0
     if g.m == 0:
@@ -208,6 +211,8 @@ def chromatic_number(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
     order = sorted(range(g.n), key=g.degree, reverse=True)
     hi = _greedy_color_count(g, order)
     clique = _greedy_clique(g, order, hi)
+    if clique.bit_count() < hi and g.n > MAX_VERTICES:
+        raise SizeLimitError(f"counting for chi is capped at {MAX_VERTICES} vertices (got {g.n})")
     nbrs = g.neighbor_lists
     for k in range(clique.bit_count(), hi):
         full = (1 << k) - 1
@@ -277,22 +282,18 @@ def _orbit_leaders(g: Graph, tuples: list[tuple[int, ...]]) -> list[int]:
     return [i for i, r in enumerate(_orbit_roots(len(tuples), moves)) if r == i]
 
 
-def enumerate_optimal_colorings(
-    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> Iterator[Coloring]:
+def enumerate_optimal_colorings(g: Graph) -> Iterator[Coloring]:
     """One canonical representative per orbit of proper chi(g)-colorings."""
-    k = chromatic_number(g, max_vertices)
+    if g.n > MAX_VERTICES:
+        raise SizeLimitError(f"coloring enumeration capped at {MAX_VERTICES} vertices (got {g.n})")
+    k = chromatic_number(g)
     for tup in canonical_colorings(g, k):
         yield Coloring(tup, k)
 
 
-def is_uniquely_colorable(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
+def is_uniquely_colorable(g: Graph) -> bool:
     """True iff g has exactly one optimal coloring up to palette permutation."""
-    it = enumerate_optimal_colorings(g, max_vertices)
-    first = next(it, None)
-    if first is None:
-        return False
-    return next(it, None) is None
+    return len(list(islice(enumerate_optimal_colorings(g), 2))) == 1
 
 
 def colorful_vertices(g: Graph, coloring: Coloring) -> VertexSet:

@@ -35,7 +35,8 @@ count at all: they are the vertices that are not colorful
 Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
 a disconnected graph are sums of per-component extremes.  Palette size is
-the whole graph's, since components may not use all colors.
+the whole graph's, since components may not use all colors.  The size
+cap, `coloring.MAX_VERTICES`, is per component; point checks have none.
 
 Per component, the extremes run once per Aut x S_k orbit of colorings, not
 once per palette orbit: an automorphism s maps the critical sets of c to
@@ -56,7 +57,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .coloring import (
-    DEFAULT_MAX_VERTICES,
+    MAX_VERTICES,
     Coloring,
     _class_masks,
     _count,
@@ -398,6 +399,9 @@ def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
     of `coloring` when given.  Colors and sets are in the component's own
     indices."""
     for comp in connected_components(g):
+        if (size := comp.bit_count()) > MAX_VERTICES:
+            raise SizeLimitError(
+                f"exact search capped at {MAX_VERTICES} vertices per component (got {size})")
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
         reps = [_class_masks(tup, k) for tup in tuples]
@@ -435,12 +439,8 @@ _SCS, _LCS = 1, 3  # fields of a _component_extremes row
 _EXTREMES = (("uscs", min, _SCS), ("oscs", max, _SCS), ("ulcs", min, _LCS), ("olcs", max, _LCS))
 
 
-def scs_lcs_for_coloring(
-    g: Graph, coloring: Coloring, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> ScsLcs:
+def scs_lcs_for_coloring(g: Graph, coloring: Coloring) -> ScsLcs:
     """Smallest and largest critical-set sizes for one fixed coloring."""
-    if g.n > max_vertices:
-        raise SizeLimitError(f"exact search capped at {max_vertices} vertices")
     _check_proper(g, coloring)
     chosen = [(verts, rows[0]) for verts, rows in _component_extremes(g, coloring.k, coloring)]
     scs, _, scs_set = _lift(g.n, chosen, _SCS)
@@ -448,16 +448,14 @@ def scs_lcs_for_coloring(
     return ScsLcs(scs, lcs, scs_set, lcs_set)
 
 
-def four_params(
-    g: Graph, k: int | None = None, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> ParamQuad:
+def four_params(g: Graph, k: int | None = None) -> ParamQuad:
     """Exact (uscs, oscs, ulcs, olcs) with witnesses, over the proper
     colorings into [k] for a given k >= chi(g) (default chi).
 
     Above chi, colorings need not use every color, so values can differ
     from the k = chi case and the n-1 upper bound need not apply.
     """
-    chi = chromatic_number(g, max_vertices)
+    chi = chromatic_number(g)
     if k is None:
         k = chi
     elif k < chi:

@@ -18,7 +18,7 @@ class UnsupportedError(CritsetsError, ValueError):
 
 
 class SizeLimitError(CritsetsError):
-    """Input exceeds the configured exact-search or structural cap."""
+    """Input exceeds a fixed exact-search or structural cap."""
 
 
 class Graph6Error(CritsetsError, ValueError):

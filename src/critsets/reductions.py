@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb
 
 from .coloring import (
-    DEFAULT_MAX_VERTICES,
+    MAX_VERTICES,
     Coloring,
     canonical_colorings,
     chromatic_number,
@@ -32,12 +32,11 @@ from .coloring import (
     sample_proper_coloring,
 )
 from .critical import forced_vertices, four_params, is_critical, prune_to_critical
-from .errors import InvalidParameterError
-from .graphs import Graph
+from .errors import InvalidParameterError, SizeLimitError
+from .graphs import _G6_MAX_LONG, Graph
 
 ULCS = "ulcs"
 OLCS = "olcs"
-FULL_THRESHOLD = 14  # "auto" mode computes G's exact parameter up to this many vertices
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,22 @@ def _with_triangle(num: int, edges: list, roles: list) -> tuple[list, list]:
         roles.append(VertexRole("V3", ("corner", j)))
     edges += [(num, num + 1), (num, num + 2), (num + 1, num + 2)]
     return edges, roles
+
+
+def gadget_order(h: Graph, variant: str) -> int:
+    """|V(G)| of the `variant` instance of h from the closed forms, without
+    building it; `SizeLimitError` above what graph6 can write."""
+    n, m = h.n, h.m
+    if variant == ULCS:
+        order = n + m * (m + n + 1) + 3
+    elif variant == OLCS:
+        order = 2 * m + (2 * m + 2) * sum(comb(len(row), 2) for row in h.neighbor_lists) + 3
+    else:
+        raise InvalidParameterError(f"unknown variant {variant!r}")
+    if order > _G6_MAX_LONG:
+        raise SizeLimitError(
+            f"{variant} gadget of {order} vertices is over the graph6 limit of {_G6_MAX_LONG}")
+    return order
 
 
 def reduce_ulcs(h: Graph) -> ReductionInstance:
@@ -192,59 +207,46 @@ class ReductionReport:
     detail: str
 
 
-def verify_reduction_small(
-    h: Graph,
-    variant: str,
-    mode: str = "auto",
-    samples: int = 20,
-    seed: int = 0,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> ReductionReport:
+def verify_reduction_small(h: Graph, variant: str, mode: str = "auto", samples: int = 20,
+                           seed: int = 0) -> ReductionReport:
     """Build the `variant` instance of h and check it with `verify_instance`."""
-    if variant == ULCS:
-        instance = reduce_ulcs(h)
-    elif variant == OLCS:
-        instance = reduce_olcs(h)
-    else:
-        raise InvalidParameterError(f"unknown variant {variant!r}")
-    return verify_instance(instance, mode, samples, seed, max_vertices)
+    gadget_order(h, variant)  # rejects an unknown variant, and a gadget graph6 cannot write
+    instance = reduce_ulcs(h) if variant == ULCS else reduce_olcs(h)
+    return verify_instance(instance, mode, samples, seed)
 
 
-def check_verify_inputs(h: Graph, samples: int,
-                        max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
+def check_verify_inputs(h: Graph, samples: int) -> bool:
     """Whether h is 3-colorable, after rejecting a sample count below 1 and
-    an h over `max_vertices`.  `verify_instance` starts with this; it needs
+    an h over `MAX_VERTICES`.  `verify_instance` starts with this; it needs
     no gadget, so the CLI calls it before building one."""
     if samples < 1:
         raise InvalidParameterError(f"samples must be at least 1 (got {samples})")
-    return h.n == 0 or chromatic_number(h, max_vertices) <= 3
+    if h.n > MAX_VERTICES:
+        raise SizeLimitError(f"verification caps H at {MAX_VERTICES} vertices (got {h.n})")
+    return h.n == 0 or chromatic_number(h) <= 3
 
 
-def verify_instance(
-    instance: ReductionInstance,
-    mode: str = "auto",
-    samples: int = 20,
-    seed: int = 0,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> ReductionReport:
+def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: int = 20,
+                    seed: int = 0) -> ReductionReport:
     """Check a built instance against its theorem at feasible scale.
 
     Full mode computes the exact parameter of G and tests the biconditional
-    against 3-colorability of H.  Certificate mode checks the direction the
+    against 3-colorability of H; "auto" picks it when G has at most
+    `MAX_VERTICES` vertices.  Certificate mode checks the direction the
     construction proves explicitly: forced replicas over monochromatic
     edges (min-lcs variant, H not 3-colorable), or a certified critical set
     of size >= k containing all replicas (max-lcs variant, H 3-colorable).
     The sampled checks take `samples` seeded colorings, at least one.
     """
     variant, h, g = instance.variant, instance.source, instance.graph
-    three_col = check_verify_inputs(h, samples, max_vertices)
+    three_col = check_verify_inputs(h, samples)
     if mode == "auto":
-        mode = "full" if g.n <= FULL_THRESHOLD else "certificate"
+        mode = "full" if g.n <= MAX_VERTICES else "certificate"
     value = None
     rng = random.Random(seed)
 
     if mode == "full":
-        quad = four_params(g, max_vertices=max_vertices)
+        quad = four_params(g)
         value = quad.ulcs if variant == ULCS else quad.olcs
         reaches = value >= instance.k
         ok = reaches == ((not three_col) if variant == ULCS else three_col)

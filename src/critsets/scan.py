@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 
-from .coloring import DEFAULT_MAX_VERTICES, canonical_colorings
+from .coloring import canonical_colorings
 from .critical import CHECKS, four_params
 from .errors import Graph6Error
 from .graphs import Graph, emit_graph6, parse_graph6
@@ -36,9 +36,8 @@ class ScanReport:
         return len(self.records)
 
 
-def record_for_graph(g: Graph, graph6: str | None = None,
-                     max_vertices: int = DEFAULT_MAX_VERTICES) -> GraphRecord:
-    quad = four_params(g, max_vertices=max_vertices)
+def record_for_graph(g: Graph, graph6: str | None = None) -> GraphRecord:
+    quad = four_params(g)
     chi = quad.witnesses["uscs"][0].k  # four_params colors with chi colors
     return GraphRecord(
         graph6 if graph6 is not None else emit_graph6(g),
@@ -66,11 +65,11 @@ def implication_holds(check: str, rec: GraphRecord) -> bool:
     raise ValueError(f"unknown check {check!r}")
 
 
-def _worker(args: tuple[int, str, int]):
-    line_no, line, max_vertices = args
+def _worker(args: tuple[int, str]):
+    line_no, line = args
     try:
         g = parse_graph6(line)
-        return line_no, record_for_graph(g, line, max_vertices), None
+        return line_no, record_for_graph(g, line), None
     except Graph6Error as exc:
         return line_no, None, str(exc)
 
@@ -79,7 +78,6 @@ def scan_graph6_lines(
     lines,
     check: str,
     jobs: int = 1,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
     progress=None,
 ) -> ScanReport:
     """Run one implication check over graph6 lines.
@@ -89,11 +87,7 @@ def scan_graph6_lines(
     """
     if check not in CHECKS:
         raise ValueError(f"check must be one of {CHECKS}")
-    tasks = [
-        (i + 1, line.strip(), max_vertices)
-        for i, line in enumerate(lines)
-        if line.strip()
-    ]
+    tasks = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     report = ScanReport(check, [], [], [])
     if jobs > 1:
         import multiprocessing  # only pools pay its import time

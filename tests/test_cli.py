@@ -162,6 +162,11 @@ def test_atlas_command(capsys, tmp_path):
     assert len(out_file.read_text().splitlines()) == 11
     code, out, err = run_cli(capsys, "atlas", "9")
     assert code == 2 and out == "" and "size limit" in err
+    # a rejected n leaves an existing --out file as it was
+    for n, want in (("9", 2), ("-1", 1)):
+        code, out, err = run_cli(capsys, "atlas", n, "--out", str(out_file))
+        assert (code, out, len(err.splitlines())) == (want, "", 1), n
+        assert len(out_file.read_text().splitlines()) == 11, n
 
 
 def test_sudoku_gen(capsys):
@@ -211,6 +216,10 @@ def test_sudoku_certify(capsys, tmp_path):
     assert code == 0 and out.strip() == "unfair (5+ completions)"
     code, out, _ = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", "500")
     assert code == 0 and out.strip() == "unfair (288 completions)"
+    for cap in ("1", "0", "-3"):  # below 2 "unfair" could not be told from "fair"
+        code, out, err = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", cap)
+        assert (code, out) == (1, ""), cap
+        assert len(err.splitlines()) == 1 and "--cap-extensions" in err, cap
     # the flag belongs to certify alone, not to the global options
     with pytest.raises(SystemExit):
         main(["--cap-extensions", "5", "sudoku", "certify", str(empty)])
@@ -238,10 +247,26 @@ def test_reduce_verify_caps_h_before_building(capsys, tmp_path, monkeypatch):
     # K21 is over the cap, so the 48744-vertex gadget is never built
     built = []
     monkeypatch.setattr("critsets.reductions.reduce_ulcs", built.append)
-    code, out, err = run_cli(capsys, "--max-vertices", "20", "reduce", "ulcs", "complete:21",
+    code, out, err = run_cli(capsys, "reduce", "ulcs", "complete:21",
                              "--verify", "--out", str(tmp_path / "g"))
     assert (code, out, built, list(tmp_path.iterdir())) == (2, "", [], [])
-    assert err.splitlines() == ["size limit: chromatic_number capped at 20 vertices"]
+    assert err.splitlines() == ["size limit: verification caps H at 20 vertices (got 21)"]
+    # the option that used to move the cap is gone
+    with pytest.raises(SystemExit):
+        main(["--max-vertices", "30", "params", "cycle:5"])
+
+
+def test_reduce_checks_gadget_size_before_building(capsys, tmp_path, monkeypatch):
+    # K33's min-lcs gadget would have 296772 vertices, more than graph6
+    # can write, so it is refused from the formula, with or without --verify
+    built = []
+    monkeypatch.setattr("critsets.reductions.reduce_ulcs", built.append)
+    monkeypatch.setattr("critsets.reductions.reduce_olcs", built.append)
+    for argv in (["ulcs", "complete:33"], ["ulcs", "complete:33", "--verify"],
+                 ["olcs", "complete:15"]):
+        code, out, err = run_cli(capsys, "reduce", *argv, "--out", str(tmp_path / "g"))
+        assert (code, out, built, list(tmp_path.iterdir())) == (2, "", [], []), argv
+        assert len(err.splitlines()) == 1 and "over the graph6 limit" in err, argv
 
 
 def test_undecodable_input_and_stray_exceptions(capsys, tmp_path, monkeypatch):

@@ -38,7 +38,10 @@ def test_chromatic_number_examples():
     assert chromatic_number(make_empty(0)) == 0
     assert chromatic_number(make_empty(3)) == 1
     assert chromatic_number(sudoku_graph(2).graph) == 4
-    with pytest.raises(SizeLimitError):
+    # above 20 vertices chi is given only when it needs no count: a clique
+    # as large as the first-fit bound settles K21, C21 needs a count
+    assert chromatic_number(make_complete(21)) == 21
+    with pytest.raises(SizeLimitError, match="capped at 20 vertices"):
         chromatic_number(make_cycle(21))
 
 
@@ -124,6 +127,9 @@ def test_is_uniquely_colorable():
     assert is_uniquely_colorable(make_complete(4))
     assert is_uniquely_colorable(make_path(4))
     assert not is_uniquely_colorable(make_cycle(5))
+    # enumeration caps the whole graph, though P21's chi needs no count
+    with pytest.raises(SizeLimitError, match="enumeration capped at 20"):
+        is_uniquely_colorable(make_path(21))
 
 
 def test_colorful_vertices():

@@ -531,12 +531,20 @@ def test_pendant_triangle_is_uniform_but_not_uniquely_colorable():
 
 
 def test_size_limit_and_override():
+    # C21's chi needs a count on 21 vertices; K21's does not, but its one
+    # component is over the per-component cap
     with pytest.raises(SizeLimitError):
         four_params(make_cycle(21))
+    k21 = make_complete(21)
+    with pytest.raises(SizeLimitError, match="20 vertices per component"):
+        four_params(k21)
+    with pytest.raises(SizeLimitError, match="20 vertices per component"):
+        scs_lcs_for_coloring(k21, Coloring(tuple(range(21)), 21))
     from critsets.graphs import disjoint_union
 
+    # the cap is per component, so 21 vertices in seven triangles need no override
     seven_triangles = make_complete(3)
     for _ in range(6):
         seven_triangles = disjoint_union(seven_triangles, make_complete(3))
     assert seven_triangles.n == 21
-    assert four_params(seven_triangles, max_vertices=21).values() == (14, 14, 14, 14)
+    assert four_params(seven_triangles).values() == (14, 14, 14, 14)

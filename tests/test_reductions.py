@@ -27,6 +27,7 @@ from critsets.reductions import (
     proof_coloring_olcs,
     proof_coloring_ulcs,
     reduce_olcs,
+    gadget_order,
     reduce_ulcs,
     verify_instance,
     verify_reduction_small,
@@ -58,12 +59,12 @@ def test_size_formulas_small_inputs():
     for h in enumerate_graphs(5):
         n, m = h.n, h.m
         inst = reduce_ulcs(h)
-        assert inst.graph.n == n + m * (m + n + 1) + 3
+        assert inst.graph.n == gadget_order(h, "ulcs") == n + m * (m + n + 1) + 3
         assert inst.graph.m == 2 * m * (m + n + 1) + 3
         assert inst.k == m + n + 3
         pair_sum = sum(comb(h.degree(v), 2) for v in range(n))
         inst = reduce_olcs(h)
-        assert inst.graph.n == 2 * m + (2 * m + 2) * pair_sum + 3
+        assert inst.graph.n == gadget_order(h, "olcs") == 2 * m + (2 * m + 2) * pair_sum + 3
         assert inst.graph.m == m + (2 * m + 2) * pair_sum + 3
         assert inst.k == (2 * m + 2) * pair_sum + 2
 
@@ -80,7 +81,10 @@ def test_instance_structure():
 
     sub, _ = induced_subgraph(g, core)
     assert is_bipartite(sub)
-    assert chromatic_number(g, max_vertices=g.n) == 3
+    assert chromatic_number(g) == 3
+    # the 619-vertex gadget of K7: its triangle matches first-fit, so chi
+    # needs no count and no cap applies
+    assert chromatic_number(reduce_ulcs(make_complete(7)).graph) == 3
 
     inst = reduce_olcs(make_path(3))
     for y in inst.vertices_with_kind("V2"):
@@ -201,11 +205,30 @@ def test_verify_certificate_modes():
 
 
 def test_verify_caps_h_at_max_vertices():
-    # H's 3-colorability is computed under the caller's vertex cap too
-    instance = reduce_ulcs(make_complete(5))
-    with pytest.raises(SizeLimitError):
-        verify_instance(instance, max_vertices=4)
-    assert verify_instance(instance, max_vertices=5).consistent
+    # H is capped at MAX_VERTICES (20) even when its chi needs no count
+    instance = reduce_ulcs(make_complete(21))
+    with pytest.raises(SizeLimitError, match="caps H at 20 vertices"):
+        verify_instance(instance)
+    assert verify_instance(reduce_ulcs(make_complete(5))).consistent
+
+
+def test_verify_auto_runs_full_mode_up_to_the_cap():
+    # the 18-vertex gadget of P3 is the only one with 15-20 vertices
+    rep = verify_reduction_small(make_path(3), "ulcs")
+    assert rep.g_vertices == 18 and rep.mode == "full" and rep.consistent
+    assert (rep.exact_value, rep.k) == (5, 8)
+
+
+def test_gadget_order_refuses_graph6_overflow():
+    # K31's min-lcs gadget has 231139 vertices and K32's 262419, over the
+    # 258047 that graph6 can write; K14's max-lcs gadget 201113, K15's 289593
+    assert gadget_order(make_complete(31), "ulcs") == 231139
+    assert gadget_order(make_complete(14), "olcs") == 201113
+    for h, variant in ((make_complete(32), "ulcs"), (make_complete(15), "olcs")):
+        with pytest.raises(SizeLimitError, match="over the graph6 limit of 258047"):
+            gadget_order(h, variant)
+    with pytest.raises(InvalidParameterError):
+        gadget_order(make_complete(3), "xlcs")
 
 
 def test_role_map_json():
