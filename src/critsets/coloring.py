@@ -2,8 +2,9 @@
 enumeration, and capped extension counting for partial assignments.
 
 Size rule: each exponential search refuses to walk more than
-`MAX_VERTICES` vertices: `chromatic_number` when it must count, the
-enumeration here on the whole graph, `critical` per component.
+`MAX_VERTICES` vertices: `chromatic_number` when it must count (per
+component on a disconnected graph), the enumeration here on the whole
+graph, `critical` per component.
 
 Colorings are quotiented by palette permutation throughout; the canonical
 orbit representative assigns colors in first-use order by vertex index.
@@ -20,7 +21,15 @@ from itertools import islice
 from typing import Iterator, Mapping
 
 from .errors import InvalidParameterError, SizeLimitError
-from .graphs import Graph, VertexSet, _orbit_roots, automorphism_generators, bits
+from .graphs import (
+    Graph,
+    VertexSet,
+    _orbit_roots,
+    automorphism_generators,
+    bits,
+    connected_components,
+    induced_subgraph,
+)
 
 MAX_VERTICES = 20  # most vertices one exponential search walks
 
@@ -75,8 +84,11 @@ def _class_masks(colors, k: int) -> list[int]:
     return classes
 
 
-def _count(nbrs, allowed: list[int], fixed: bytearray, queue: list[int], cap: int) -> int:
-    """Count completions of `allowed` (bitmask per vertex), truncated at cap.
+def _count(nbrs, allowed: list[int], fixed: bytearray, queue: list[int], cap: int,
+           found: list | None = None) -> int:
+    """Count completions of `allowed` (bitmask per vertex), truncated at cap;
+    each completion found is appended to `found` when given, as its list of
+    one-bit domains.
 
     Unit propagation first (a singleton vertex removes its color from all
     neighbors), then MRV branching, depth first from an explicit stack so
@@ -112,6 +124,8 @@ def _count(nbrs, allowed: list[int], fixed: bytearray, queue: list[int], cap: in
             best = v = fixed.find(0)
             if best < 0:
                 total += 1
+                if found is not None:
+                    found.append(allowed)
                 if total >= cap:
                     return cap
             else:
@@ -202,7 +216,9 @@ def chromatic_number(g: Graph) -> int:
     bound and a pin.  The clique search stops at a clique of hi vertices,
     which proves chi = hi with no count at all; otherwise each k from the
     clique size up to hi - 1 is tried by `_count`, with the clique pinned to
-    distinct colors; that count is refused above `MAX_VERTICES` vertices.
+    distinct colors.  Above `MAX_VERTICES` vertices that count is refused,
+    unless g is disconnected: then chi is the largest chi of a component,
+    and each component answers (or refuses) on its own.
     """
     if g.n == 0:
         return 0
@@ -212,6 +228,9 @@ def chromatic_number(g: Graph) -> int:
     hi = _greedy_color_count(g, order)
     clique = _greedy_clique(g, order, hi)
     if clique.bit_count() < hi and g.n > MAX_VERTICES:
+        comps = connected_components(g)
+        if len(comps) > 1:
+            return max(chromatic_number(induced_subgraph(g, comp)[0]) for comp in comps)
         raise SizeLimitError(f"counting for chi is capped at {MAX_VERTICES} vertices (got {g.n})")
     nbrs = g.neighbor_lists
     for k in range(clique.bit_count(), hi):

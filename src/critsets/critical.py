@@ -7,12 +7,34 @@ Equivalently, S meets every difference mask {v : c(v) != c'(v)} over the
 other proper colorings c' (Sudoku's "unavoidable sets"), and S is critical
 iff moreover each of its vertices has a private mask that S meets nowhere
 else: the critical sets of c are the minimal transversals of its minimal
-difference masks.  The mask kernel (`_difference_masks`, then the walk in
-`_transversal_extremes`) gives the extremes for `scs_lcs_for_coloring`,
-`four_params` and `sudoku.mnc_exhaustive`; the maximal color matchings
-behind the masks depend only on the palette size and on which color cells
-meet, so one table per process (`_MATCHINGS`) serves every call.  Point
-checks on one given set go through `_determines` instead (behind
+difference masks M, Tr(M).  Two routes give their extremes for
+`scs_lcs_for_coloring` and `four_params`, chosen per component:
+
+- The mask kernel (`_difference_masks`, then the walk in
+  `_transversal_extremes`) lists M by comparing c with every palette-orbit
+  coloring, so its cost is (colorings searched) x (palette orbits) pairs.
+  The maximal color matchings behind the masks depend only on the palette
+  size and on which color cells meet, so one table per process
+  (`_MATCHINGS`) serves every call.  `sudoku.mnc_exhaustive` uses it too.
+- The lazy route (`_lazy_extremes`) grows a family F of true difference
+  masks, seeded by c's Kempe chains, adding a minimal mask missed by each
+  minimal transversal of F that does not determine c (the implicit
+  hitting-set scheme of Moreno-Centeno and Karp, on the unavoidable sets
+  of McGuire, Tugemann and Civario).  It stops when every T in Tr(F)
+  determines c, and then Tr(F) = Tr(M): each mask of F contains one of M,
+  so every transversal of M is one of F; and every transversal of F
+  contains some T in Tr(F), which hits all of M.  So values and
+  lexicographically least witnesses are the kernel's.
+
+The lazy route runs when a component's pairs exceed `LAZY_PAIRS`.  A sweep
+over C5-C13 at k = 3 and 4, `latin:3`, `latin:4`, `sudoku:2` and 60 random
+graphs on 8-12 vertices at chi and chi + 1, timing both routes up to 60000
+pairs (2 vCPU, Python 3.11.7), found the kernel faster on some inputs up
+to 2304 pairs (20x on `latin:4`, 48 pairs, where F needs many rounds) and
+the lazy route faster on every input above that (2.6x at 2704 pairs, 5x on
+C11's 7161, 10x at 57600).
+
+Point checks on one given set go through `_determines` (behind
 `is_determining`, `is_critical` and the fair-puzzle certificate), which
 needs no enumeration and so also runs on order-3 boards and on the large
 gadget graphs.  Because the coloring extends its own restriction,
@@ -41,12 +63,13 @@ cap, `coloring.MAX_VERTICES`, is per component; point checks have none.
 Per component, the extremes run once per Aut x S_k orbit of colorings, not
 once per palette orbit: an automorphism s maps the critical sets of c to
 critical sets of c o s^-1 of the same sizes, so a whole orbit shares scs
-and lcs.  The kernel runs on the earliest member of each orbit in
+and lcs.  Either route runs on the earliest member of each orbit in
 `canonical_colorings` order (`coloring._orbit_leaders`, on the generators
-from `graphs.automorphism_generators`), still against every palette-orbit
-representative.  The witnesses do not move: `min` and `max` keep the first
-coloring that attains an extreme, and that coloring is the earliest of its
-orbit, so it is among those searched, with its own least set.
+from `graphs.automorphism_generators`); the kernel still compares it with
+every palette-orbit representative.  The witnesses do not move: `min` and
+`max` keep the first coloring that attains an extreme, and that coloring
+is the earliest of its orbit, so it is among those searched, with its own
+least set.
 """
 
 from __future__ import annotations
@@ -122,9 +145,10 @@ def _flags(mask: VertexSet, n: int) -> bytes:
     return f"{mask:0{n}b}"[::-1].encode().translate(_DIGIT_FLAGS)
 
 
-def _determines(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
+def _determines(g: Graph, coloring: Coloring, subset: VertexSet, found: list | None = None) -> bool:
     """True iff the proper coloring restricted to `subset` has exactly one
-    proper extension.
+    proper extension.  When `_count` runs, the extensions it finds go to
+    `found` (see `_count`).
 
     Unit propagation from `subset` only ever fixes a vertex to its own
     color, since the coloring is an extension and propagation keeps every
@@ -179,7 +203,7 @@ def _determines(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
             allowed[v] &= drop
     queue = list(compress(range(n), _flags(fresh, n)))  # the singletons
     fixed = bytearray(_flags(((1 << n) - 1) ^ free, n))
-    return _count(g.neighbor_lists, allowed, fixed, queue, 2) == 1
+    return _count(g.neighbor_lists, allowed, fixed, queue, 2, found) == 1
 
 
 def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bool:
@@ -336,16 +360,14 @@ def _difference_masks(
         yield minimal
 
 
-def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
-    """(scs, scs_set, lcs, lcs_set) over the minimal transversals of `masks`
-    of size at most `bound` (all when None), or None if there are none.
+def _minimal_transversals(masks: list[int], n: int, bound: int | None = None) -> list[int]:
+    """The minimal transversals of `masks` of size at most `bound` (all
+    when None).
 
     Murakami-Uno's MMCS walk visits each minimal transversal once: branch
     on the unhit mask with the fewest candidate vertices, forbid the
     earlier siblings, and cut when a chosen vertex has no private mask
-    left.  Witnesses are the lexicographically least vertex lists at their
-    size: of two distinct sets of one size, that is the one holding the
-    lowest bit of their symmetric difference, so one pass picks both.
+    left.
     """
     hits = [0] * n  # per vertex: indices of the masks containing it
     for i, m in enumerate(masks):
@@ -364,6 +386,15 @@ def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
                 kept = [p & ~hits[v] for p in private]
                 if all(kept):
                     stack.append((chosen | 1 << v, kept + [unhit & hits[v]], unhit & ~hits[v], cand))
+    return found
+
+
+def _extremes(found: list[int]):
+    """(scs, scs_set, lcs, lcs_set) over the sets `found`, or None if there
+    are none.  Witnesses are the lexicographically least vertex lists at
+    their size: of two distinct sets of one size, that is the one holding
+    the lowest bit of their symmetric difference, so one pass picks both.
+    """
     if not found:
         return None
     scs = lcs = found[0]
@@ -379,6 +410,70 @@ def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
     return low, scs, high, lcs
 
 
+def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
+    """`_extremes` of the minimal transversals of `masks` of size at most
+    `bound` (all when None)."""
+    return _extremes(_minimal_transversals(masks, n, bound))
+
+
+def _minimal_difference(g: Graph, coloring: Coloring, subset: VertexSet) -> VertexSet:
+    """0 when `subset` determines the coloring c; otherwise a minimal
+    difference mask that `subset` misses.
+
+    The second extension d that the count finds differs from c on a mask D
+    outside `subset`.  D shrinks one vertex v at a time: if c restricted to
+    (V - D) + v has an extension other than c, D becomes that extension's
+    difference, which lies in D - v.  A mask strictly inside the final D
+    would leave out some v of D, and its coloring would have been found
+    when v was tried, so the final D is minimal.
+    """
+    own = [1 << c for c in coloring.colors]
+
+    def other(subset: VertexSet) -> VertexSet:
+        found: list = []
+        if _determines(g, coloring, subset, found):
+            return 0
+        # the count stopped at two extensions, so one of them is not c
+        return max(sum(1 << v for v, (a, b) in enumerate(zip(ext, own)) if a != b)
+                   for ext in found)
+
+    full = (1 << g.n) - 1
+    diff = other(subset)
+    for v in bits(diff):
+        if diff >> v & 1:
+            diff = other(full ^ diff | 1 << v) or diff
+    return diff
+
+
+def _lazy_extremes(g: Graph, coloring: Coloring):
+    """`_transversal_extremes` of the minimal difference masks M of
+    `coloring`, from a family F of masks grown lazily.
+
+    F starts with the Kempe chains: swapping colors a and b on one
+    component of the subgraph on classes a and b gives another proper
+    coloring that differs exactly there.  While some minimal transversal
+    of F does not determine the coloring, `_minimal_difference` adds a
+    mask it misses.  Sets already checked stay checked.
+    """
+    classes = coloring.class_masks
+    k = coloring.k
+    masks = list(dict.fromkeys(
+        chain for a in range(k) for b in range(a + 1, k)
+        for chain in connected_components(g, classes[a] | classes[b])))
+    checked: set[VertexSet] = set()
+    while True:
+        found = _minimal_transversals(masks, g.n)
+        for t in found:
+            if t not in checked:
+                missed = _minimal_difference(g, coloring, t)
+                if missed:
+                    masks.append(missed)
+                    break
+                checked.add(t)
+        else:
+            return _extremes(found)
+
+
 def _check_proper(g: Graph, coloring: Coloring):
     if len(coloring.colors) != g.n:
         raise InvalidParameterError("coloring length must equal vertex count")
@@ -390,6 +485,11 @@ def _check_point(g: Graph, coloring: Coloring, subset: VertexSet):
     if subset >> g.n:
         raise InvalidParameterError("subset has bits beyond vertex range")
     _check_proper(g, coloring)
+
+
+# most (own, palette-orbit) pairs a component gives the mask kernel; above
+# this the lazy route runs (the crossover measured in the module docstring)
+LAZY_PAIRS = 2500
 
 
 def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
@@ -404,16 +504,16 @@ def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
                 f"exact search capped at {MAX_VERTICES} vertices per component (got {size})")
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
-        reps = [_class_masks(tup, k) for tup in tuples]
         if coloring is None:
-            leaders = _orbit_leaders(sub, tuples)
-            tuples = [tuples[i] for i in leaders]
-            owns = [reps[i] for i in leaders]
+            owns = [tuples[i] for i in _orbit_leaders(sub, tuples)]
         else:
-            tuples = [tuple(coloring.colors[v] for v in verts)]
-            owns = [_class_masks(tuples[0], k)]
-        masks = _difference_masks(owns, reps, sub.n)
-        rows = [(tup, *_transversal_extremes(m, sub.n)) for tup, m in zip(tuples, masks)]
+            owns = [tuple(coloring.colors[v] for v in verts)]
+        if len(owns) * len(tuples) > LAZY_PAIRS:
+            rows = [(tup, *_lazy_extremes(sub, Coloring(tup, k))) for tup in owns]
+        else:
+            reps = [_class_masks(tup, k) for tup in tuples]
+            masks = _difference_masks((_class_masks(tup, k) for tup in owns), reps, sub.n)
+            rows = [(tup, *_transversal_extremes(m, sub.n)) for tup, m in zip(owns, masks)]
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")
         yield verts, rows

@@ -195,9 +195,10 @@ def edge_union(g: Graph, h: Graph) -> Graph:
 # structure queries
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Vertex masks of the connected components, by least vertex."""
-    remaining = (1 << g.n) - 1
+def connected_components(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
+    """Vertex masks of the connected components, by least vertex, of g or
+    of its subgraph induced on `within`."""
+    remaining = (1 << g.n) - 1 if within is None else within
     comps = []
     while remaining:
         start = remaining & -remaining
@@ -207,7 +208,7 @@ def connected_components(g: Graph) -> list[VertexSet]:
             grow = 0
             for v in bits(frontier):
                 grow |= g.adj[v]
-            frontier = grow & ~comp
+            frontier = grow & remaining & ~comp
             comp |= frontier
         comps.append(comp)
         remaining &= ~comp

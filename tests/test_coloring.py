@@ -43,6 +43,14 @@ def test_chromatic_number_examples():
     assert chromatic_number(make_complete(21)) == 21
     with pytest.raises(SizeLimitError, match="capped at 20 vertices"):
         chromatic_number(make_cycle(21))
+    # a disconnected graph counts per component: five C5 answer, and a
+    # component over the cap is refused by its own size
+    five_c5 = make_cycle(5)
+    for _ in range(4):
+        five_c5 = disjoint_union(five_c5, make_cycle(5))
+    assert chromatic_number(five_c5) == 3
+    with pytest.raises(SizeLimitError, match=r"capped at 20 vertices \(got 21\)"):
+        chromatic_number(disjoint_union(make_cycle(21), make_complete(2)))
 
 
 def test_chromatic_number_against_brute_force():

@@ -18,8 +18,10 @@ from critsets.coloring import (
 from critsets.critical import (
     PARAM_NAMES,
     _class_masks,
+    _component_extremes,
     _determines,
     _difference_masks,
+    _lazy_extremes,
     _maximal_matchings,
     _still_determines,
     _transversal_extremes,
@@ -392,26 +394,31 @@ def test_maximal_matchings_match_brute_force():
         assert len(set(got)) == len(got), (k, occupied)
 
 
+def _brute_minimal_masks(g, k):
+    """(coloring, its minimal masks) for every palette-orbit coloring of g
+    into [k]: the minimal sets {v : c(v) != d(v)} over every other proper
+    coloring d, listed by brute force."""
+    n = g.n
+    proper = [d for d in itertools.product(range(k), repeat=n)
+              if all(d[u] != d[v] for u, v in g.edges())]
+    for tup in canonical_colorings(g, k):
+        diffs = {mask_of(v for v in range(n) if tup[v] != d[v]) for d in proper} - {0}
+        yield tup, sorted(m for m in diffs if not any(s != m and not s & ~m for s in diffs))
+
+
 def test_difference_masks_match_definition(monkeypatch):
-    # each coloring's minimal masks are the minimal sets {v : c(v) != d(v)}
-    # over every other proper coloring d, listed by brute force; palettes
-    # shrink from an empty matching table, so a cell pattern met first at a
-    # larger k is met again at a smaller one
+    # palettes shrink from an empty matching table, so a cell pattern met
+    # first at a larger k is met again at a smaller one
     monkeypatch.setattr("critsets.critical._MATCHINGS", {})
     small = [g for n in range(6) for g in enumerate_graphs(n)]
     for k in (4, 3, 2, 1):
         for g in small:
             if chromatic_number(g) > k:
                 continue
-            n = g.n
-            proper = [d for d in itertools.product(range(k), repeat=n)
-                      if all(d[u] != d[v] for u, v in g.edges())]
-            tuples = list(canonical_colorings(g, k))
-            reps = [_class_masks(tup, k) for tup in tuples]
-            for tup, masks in zip(tuples, _difference_masks(reps, reps, n)):
-                diffs = {mask_of(v for v in range(n) if tup[v] != d[v]) for d in proper} - {0}
-                minimal = {m for m in diffs if not any(s != m and not s & ~m for s in diffs)}
-                assert sorted(masks) == sorted(minimal), (g.adj, k, tup)
+            reps = [_class_masks(tup, k) for tup in canonical_colorings(g, k)]
+            for (tup, minimal), masks in zip(_brute_minimal_masks(g, k),
+                                             _difference_masks(reps, reps, g.n)):
+                assert sorted(masks) == minimal, (g.adj, k, tup)
 
 
 def _old_transversal_witnesses(masks, n):
@@ -433,6 +440,37 @@ def _old_transversal_witnesses(masks, n):
 def test_transversal_witnesses_are_lexicographically_least(case):
     n, masks = case
     assert _transversal_extremes(masks, n) == _old_transversal_witnesses(masks, n)
+
+
+def test_lazy_route_matches_brute_force_masks():
+    # on every palette-orbit coloring of every graph on <= 5 vertices, at
+    # k = chi and chi + 1, the lazy route's extremes and witnesses are those
+    # of the minimal transversals of the brute-force minimal masks
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            chi = chromatic_number(g)
+            for k in (chi, chi + 1):
+                for tup, masks in _brute_minimal_masks(g, k):
+                    expected = _old_transversal_witnesses(masks, g.n)
+                    assert _lazy_extremes(g, Coloring(tup, k)) == expected, (g.adj, k, tup)
+
+
+def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
+    # the route is chosen by pair count alone, so each is forced in turn;
+    # sudoku:2 and latin:3 need several lazy rounds, the cycles one
+    latin3 = cartesian_product(make_complete(3), make_complete(3))
+    rng = random.Random(14)
+    for g, k in ((make_cycle(9), 3), (make_cycle(11), 3), (make_cycle(13), 3),
+                 (sudoku_graph(2).graph, 4), (latin3, 3), (make_cycle(7), 4)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.relabel(perm)
+        one = Coloring(next(canonical_colorings(g, k)), k)
+        rows = []
+        for pairs in (-1, 10**9):
+            monkeypatch.setattr("critsets.critical.LAZY_PAIRS", pairs)
+            rows.append((list(_component_extremes(g, k)), list(_component_extremes(g, k, one))))
+        assert rows[0] == rows[1], (g.n, k)
 
 
 def _unpruned_four_params(g, k):
@@ -548,3 +586,8 @@ def test_size_limit_and_override():
         seven_triangles = disjoint_union(seven_triangles, make_complete(3))
     assert seven_triangles.n == 21
     assert four_params(seven_triangles).values() == (14, 14, 14, 14)
+    # chi of five disjoint C5 (25 vertices) needs a count: per component
+    five_c5 = make_cycle(5)
+    for _ in range(4):
+        five_c5 = disjoint_union(five_c5, make_cycle(5))
+    assert four_params(five_c5).values() == (15, 15, 20, 20)

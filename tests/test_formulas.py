@@ -30,7 +30,7 @@ def test_cycle_values():
 
 
 def test_cycle_formulas_match_engine():
-    for n in range(3, 12):
+    for n in range(3, 18):
         assert cycle_params(n).values() == four_params(make_cycle(n)).values(), n
 
 
