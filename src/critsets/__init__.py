@@ -11,7 +11,11 @@ this to load only what a subcommand runs:
 - ``sudoku``, and any ``sudoku:N`` graph source: also sudoku;
 - ``reduce``: also reductions.
 
-No subcommand loads formulas.
+No subcommand loads formulas.  From the standard library the four core
+modules import only base64, random, typing, functools, itertools and
+operator (the records are `typing.NamedTuple`s, and `Graph` and `Coloring`
+plain value classes), and only the CLI commands that write JSON or CSV
+import json or csv.
 """
 
 from importlib import import_module

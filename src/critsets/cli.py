@@ -16,14 +16,16 @@ refuses a gadget graph6 cannot write before building it.
 Start-up loads graphs, coloring, critical and errors, which every
 subcommand runs.  The rest is imported by the code that runs it: scan by
 `table` and `scan`, sudoku by `sudoku` and the sudoku:N source, and
-reductions by `reduce`.  formulas is never loaded.
+reductions by `reduce`.  formulas is never loaded.  From the standard
+library, start-up loads argparse (with gettext), base64, random, typing,
+functools, itertools, operator and os, and no more: the records are
+`typing.NamedTuple`s, and json and csv are imported by the commands that
+write them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -99,9 +101,13 @@ def cmd_params(args) -> int:
     k = quad.witnesses["uscs"][0].k  # the palette four_params colored with
     chi = k if args.k is None else chromatic_number(g)
     if args.format == "json":
+        import json
+
         print(json.dumps({"source": args.source, "n": g.n, "m": g.m, "chi": chi,
                           "k": k, **_quad_json(quad)}))
     elif args.format == "csv":
+        import csv
+
         w = csv.writer(sys.stdout)
         w.writerow(["source", "n", "m", "chi", "k", *PARAM_NAMES])
         w.writerow([args.source, g.n, g.m, chi, k, *quad.values()])
@@ -126,8 +132,12 @@ def _table_records(n: int, nonbipartite: bool):
 def cmd_table(args) -> int:
     records = list(_table_records(args.n, args.nonbipartite))
     if args.format == "json":
-        print(json.dumps([rec.__dict__ for rec in records]))
+        import json
+
+        print(json.dumps([rec._asdict() for rec in records]))
         return 0
+    import csv
+
     w = csv.writer(sys.stdout)
     w.writerow(["graph6", "n", "chi", *PARAM_NAMES, "uniquely_colorable", "uniform"])
     for rec in records:
@@ -147,14 +157,18 @@ def cmd_scan(args) -> int:
         lines = fh.readlines()
     report = scan.scan_graph6_lines(lines, args.check, jobs=args.jobs, progress=args.progress)
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "check": report.check,
             "checked": report.checked,
-            "counterexamples": [rec.__dict__ for rec in report.counterexamples],
+            "counterexamples": [rec._asdict() for rec in report.counterexamples],
             "parse_errors": report.parse_errors,
         }))
         return 0
     if args.format == "csv":
+        import csv
+
         w = csv.writer(sys.stdout)
         w.writerow(["graph6", "n", "chi", *PARAM_NAMES, "uniquely_colorable", "uniform", "holds"])
         for rec in report.records:
@@ -194,9 +208,13 @@ def cmd_sudoku(args) -> int:
         print(f"cells={g.n} edges={g.m} degree={sorted(degrees)}", file=sys.stderr)
         return 0
     if args.action == "trials":
-        stats = sudoku.trial_campaign(args.n, args.count, seed=args.seed)
+        import csv
+
+        sudoku.check_trial_inputs(args.n, args.count)
+        # opened before the campaign: a path that cannot be written costs no work
         out = open(args.out, "w", newline="") if args.out else sys.stdout
         try:
+            stats = sudoku.trial_campaign(args.n, args.count, seed=args.seed)
             w = csv.writer(out)
             w.writerow(["trial", "surviving", "cells"])
             for i, size in enumerate(stats.sizes):
@@ -247,15 +265,23 @@ def cmd_reduce(args) -> int:
     reductions.gadget_order(h, args.variant)
     if args.verify:
         reductions.check_verify_inputs(h, args.samples)
-    instance = (reductions.reduce_ulcs if args.variant == "ulcs" else reductions.reduce_olcs)(h)
-    print(f"variant={instance.variant} |V(G)|={instance.graph.n} "
-          f"|E(G)|={instance.graph.m} k={instance.k}")
-    if args.out:
-        with open(args.out + ".g6", "w") as fh:
-            fh.write(graphs.emit_graph6(instance.graph) + "\n")
-        with open(args.out + ".roles.json", "w") as fh:
-            json.dump(instance.role_map_json(), fh, indent=2)
-        print(f"wrote {args.out}.g6 and {args.out}.roles.json", file=sys.stderr)
+    outs = []
+    try:
+        # the outputs open before the build: a path that cannot be written costs no work
+        for ext in (".g6", ".roles.json") if args.out else ():
+            outs.append(open(args.out + ext, "w"))
+        instance = (reductions.reduce_ulcs if args.variant == "ulcs" else reductions.reduce_olcs)(h)
+        print(f"variant={instance.variant} |V(G)|={instance.graph.n} "
+              f"|E(G)|={instance.graph.m} k={instance.k}")
+        if outs:
+            import json
+
+            outs[0].write(graphs.emit_graph6(instance.graph) + "\n")
+            json.dump(instance.role_map_json(), outs[1], indent=2)
+            print(f"wrote {args.out}.g6 and {args.out}.roles.json", file=sys.stderr)
+    finally:
+        for fh in outs:
+            fh.close()
     if args.verify:
         report = reductions.verify_instance(instance, args.mode, args.samples, args.seed)
         value = "" if report.exact_value is None else f" {args.variant}(G)={report.exact_value}"

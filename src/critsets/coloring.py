@@ -15,7 +15,6 @@ Every vertex walk here, the extension counter `_count` included, reads
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterator, Mapping
@@ -25,6 +24,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _orbit_roots,
+    _read_only,
     automorphism_generators,
     bits,
     connected_components,
@@ -34,17 +34,29 @@ from .graphs import (
 MAX_VERTICES = 20  # most vertices one exponential search walks
 
 
-@dataclass(frozen=True)
 class Coloring:
-    """Total color assignment into {0..k-1}."""
+    """Total color assignment into {0..k-1}; a value like `Graph`, equal and
+    hashed by (colors, k)."""
 
-    colors: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        colors = self.colors
-        if colors and (min(colors) < 0 or max(colors) >= self.k):
+    def __init__(self, colors: tuple[int, ...], k: int):
+        if colors and (min(colors) < 0 or max(colors) >= k):
             raise InvalidParameterError("color out of palette range")
+        fields = self.__dict__
+        fields["colors"] = colors
+        fields["k"] = k
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.colors == other.colors and self.k == other.k
+
+    def __hash__(self):
+        return hash((self.colors, self.k))
+
+    def __repr__(self):
+        return f"Coloring(colors={self.colors!r}, k={self.k!r})"
 
     @cached_property
     def class_masks(self) -> tuple[int, ...]:

@@ -74,10 +74,9 @@ least set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .coloring import (
     MAX_VERTICES,
@@ -97,8 +96,7 @@ PARAM_NAMES = ("uscs", "oscs", "ulcs", "olcs")
 CHECKS = ("prop1", "converse", "uniform")
 
 
-@dataclass(frozen=True)
-class ParamQuad:
+class ParamQuad(NamedTuple):
     """The four extremal critical-set sizes, with optional witnesses.
 
     witnesses maps a parameter name to a (coloring, vertex set) pair that
@@ -118,16 +116,14 @@ class ParamQuad:
         return self.uscs if self.uscs == self.oscs == self.ulcs == self.olcs else None
 
 
-@dataclass(frozen=True)
-class CriticalCertificate:
+class CriticalCertificate(NamedTuple):
     coloring: Coloring
     subset: VertexSet
     determining: bool
     minimal: bool
 
 
-@dataclass(frozen=True)
-class ScsLcs:
+class ScsLcs(NamedTuple):
     scs: int
     lcs: int
     scs_witness: VertexSet

@@ -8,7 +8,6 @@ return fresh graphs and never mutate.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import Graph6Error, InvalidParameterError, SizeLimitError
@@ -35,24 +34,44 @@ def mask_of(vertices) -> VertexSet:
     return m
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} attribute {name!r} is read-only")
+
+
 class Graph:
-    """Graph on vertices 0..n-1; adj[v] has bit w set iff {v,w} is an edge."""
+    """Graph on vertices 0..n-1; adj[v] has bit w set iff {v,w} is an edge.
 
-    n: int
-    adj: tuple[int, ...]
+    A value: equal and hashed by (n, adj), and assigning or deleting an
+    attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if n < 0 or len(adj) != n:
             raise InvalidParameterError("adjacency length must equal vertex count")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
+        for v, row in enumerate(adj):
+            if row >> n:
                 raise InvalidParameterError(f"row {v} has bits beyond vertex range")
             if row >> v & 1:
                 raise InvalidParameterError(f"loop at vertex {v}")
             for w in bits(row):
-                if not self.adj[w] >> v & 1:
+                if not adj[w] >> v & 1:
                     raise InvalidParameterError(f"asymmetric edge ({v},{w})")
+        fields = self.__dict__
+        fields["n"] = n
+        fields["adj"] = adj
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

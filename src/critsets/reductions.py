@@ -19,9 +19,9 @@ emit (G, k) plus per-vertex role labels:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .coloring import (
     MAX_VERTICES,
@@ -39,8 +39,7 @@ ULCS = "ulcs"
 OLCS = "olcs"
 
 
-@dataclass(frozen=True)
-class VertexRole:
+class VertexRole(NamedTuple):
     """Role tag (V1/V2/V3) with provenance back to the input graph."""
 
     kind: str
@@ -64,8 +63,7 @@ class VertexRole:
         return {"kind": self.kind, "corner": self.info[1]}
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(NamedTuple):
     variant: str
     source: Graph
     graph: Graph
@@ -192,8 +190,7 @@ def proof_coloring_olcs(instance: ReductionInstance, c3: Coloring) -> Coloring:
     return Coloring(tuple(colors), 3)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     variant: str
     h_vertices: int
     h_edges: int

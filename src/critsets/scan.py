@@ -5,8 +5,8 @@ process pool for the larger catalogs.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .coloring import canonical_colorings
 from .critical import CHECKS, four_params
@@ -14,8 +14,7 @@ from .errors import Graph6Error
 from .graphs import Graph, emit_graph6, parse_graph6
 
 
-@dataclass(frozen=True)
-class GraphRecord:
+class GraphRecord(NamedTuple):
     graph6: str
     n: int
     chi: int
@@ -24,8 +23,7 @@ class GraphRecord:
     uniform: int | None
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     check: str
     records: list[GraphRecord]
     counterexamples: list[GraphRecord]

@@ -10,9 +10,9 @@ critical set over all boards.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .coloring import (
     Coloring,
@@ -29,8 +29,7 @@ from .graphs import Graph, VertexSet, bits
 MAX_CELLS = 4096
 
 
-@dataclass(frozen=True)
-class SudokuStructure:
+class SudokuStructure(NamedTuple):
     """The graph plus the cell <-> (row, col, box) indexing for order n."""
 
     n: int
@@ -254,8 +253,7 @@ def count_puzzle_completions(structure: SudokuStructure, clues: dict[int, int], 
 # trial campaigns
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Certified surviving-set sizes across seeded process trials."""
 
     trials: int
@@ -266,6 +264,14 @@ class TrialStats:
     seed: int
 
 
+def check_trial_inputs(n: int, trials: int) -> None:
+    """Raise InvalidParameterError unless `trial_campaign(n, trials)` can run."""
+    if n not in (2, 3):
+        raise InvalidParameterError("trial campaigns support orders 2 and 3")
+    if trials < 0:
+        raise InvalidParameterError("trial count must be nonnegative")
+
+
 def trial_campaign(n: int, trials: int, seed: int = 0, certify: bool = True) -> TrialStats:
     """Run the thinning process across seeded random boards.
 
@@ -273,10 +279,7 @@ def trial_campaign(n: int, trials: int, seed: int = 0, certify: bool = True) -> 
     randomized backtracking.  Every output is certified determining unless
     `certify` is disabled; a non-determining output raises InternalError.
     """
-    if n not in (2, 3):
-        raise InvalidParameterError("trial campaigns support orders 2 and 3")
-    if trials < 0:
-        raise InvalidParameterError("trial count must be nonnegative")
+    check_trial_inputs(n, trials)
     structure = sudoku_graph(n)
     master = random.Random(seed)
     sizes = []
@@ -302,8 +305,7 @@ def trial_campaign(n: int, trials: int, seed: int = 0, certify: bool = True) -> 
 # minimum number of clues, order 2
 
 
-@dataclass(frozen=True)
-class MncResult:
+class MncResult(NamedTuple):
     min_clues: int
     board: Coloring
     clues: VertexSet

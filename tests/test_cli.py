@@ -21,31 +21,61 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # only scans with --jobs > 1 start a pool, so only they import it; and
-    # each subcommand loads the four core modules plus only what it runs
+def _fresh_modules(*argv, cli=True):
+    """Names in sys.modules after a fresh interpreter imports critsets.cli
+    and, given argv, runs it; with cli off, after it imports nothing."""
     src = str(Path(critsets.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, critsets.cli\n"
-            "if sys.argv[1:]: critsets.cli.main(sys.argv[1:])\n"
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('critsets', 'multiprocessing')))")
+            "code = critsets.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n" if cli else
+            "import sys\ncode = 0\n") + "print(*sorted(sys.modules))\nsys.exit(code)"
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, (argv, run.stderr)
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_multiprocessing_out(tmp_path):
+    # only scans with --jobs > 1 start a pool, so only they import it; each
+    # subcommand loads the four core modules plus only what it runs; no
+    # command loads dataclasses, or inspect through it; and json and csv load
+    # only with a command that writes them.  Standard-library modules are
+    # compared with a bare interpreter in the same environment, since site
+    # may preload some.
     core = {"critsets", "critsets.cli", "critsets.coloring", "critsets.critical",
             "critsets.errors", "critsets.graphs"}
-    cases = [
-        ([], core),
-        (["params", "empty:1"], core),
-        (["atlas", "4"], core),
-        (["table", "3"], core | {"critsets.scan"}),
-        (["params", "sudoku:2"], core | {"critsets.sudoku"}),
-        (["sudoku", "mnc"], core | {"critsets.sudoku"}),
-        (["reduce", "ulcs", "complete:3", "--verify"], core | {"critsets.reductions"}),
+    k3 = tmp_path / "k3.g6"
+    k3.write_text("Bw\n")
+    scan = ["scan", str(k3), "--check", "prop1"]
+    cases = [  # argv, critsets modules, writers
+        ([], core, set()),
+        (["params", "empty:1"], core, set()),
+        (["--format", "json", "params", "empty:1"], core, {"json"}),
+        (["--format", "csv", "params", "empty:1"], core, {"csv"}),
+        (["atlas", "4"], core, set()),
+        (["table", "3"], core | {"critsets.scan"}, {"csv"}),
+        (["--format", "json", "table", "3"], core | {"critsets.scan"}, {"json"}),
+        (scan, core | {"critsets.scan"}, set()),
+        (["--format", "json", *scan], core | {"critsets.scan"}, {"json"}),
+        (["--format", "csv", *scan], core | {"critsets.scan"}, {"csv"}),
+        (["params", "sudoku:2"], core | {"critsets.sudoku"}, set()),
+        (["sudoku", "mnc"], core | {"critsets.sudoku"}, set()),
+        (["sudoku", "trials", "2", "--count", "2"], core | {"critsets.sudoku"}, {"csv"}),
+        (["reduce", "ulcs", "complete:3", "--verify"], core | {"critsets.reductions"}, set()),
+        (["reduce", "ulcs", "complete:2", "--out", str(tmp_path / "g")],
+         core | {"critsets.reductions"}, {"json"}),
     ]
-    for argv, expected in cases:
-        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                             capture_output=True, text=True)
-        assert run.returncode == 0, (argv, run.stderr)
-        assert set(run.stdout.splitlines()[-1].split()) == expected, argv
+    baseline = _fresh_modules(cli=False)
+    for argv, expected, writers in cases:
+        loaded = _fresh_modules(*argv)
+        assert {m for m in loaded if m.split(".")[0] in ("critsets", "multiprocessing")} == expected, argv
+        new = loaded - baseline
+        assert not new & {"dataclasses", "inspect"}, argv
+        for module in ("json", "csv"):
+            if module in writers:
+                assert module in loaded, (argv, module)
+            else:
+                assert module not in new, (argv, module)
 
 
 def test_package_names_are_their_submodules_objects():
@@ -151,6 +181,32 @@ def test_scan_command(capsys, tmp_path):
     assert code == 1 and out == "" and len(err.splitlines()) == 1 and "--progress" in err
 
 
+def test_table_and_scan_json_bytes(capsys, tmp_path):
+    # records print as objects keyed by field name, in field order
+    code, out, _ = run_cli(capsys, "--format", "json", "table", "3")
+    assert code == 0 and out == (
+        '[{"graph6": "B?", "n": 3, "chi": 1, "quad": [0, 0, 0, 0], '
+        '"uniquely_colorable": true, "uniform": 0}, '
+        '{"graph6": "BG", "n": 3, "chi": 2, "quad": [2, 2, 2, 2], '
+        '"uniquely_colorable": false, "uniform": 2}, '
+        '{"graph6": "BW", "n": 3, "chi": 2, "quad": [1, 1, 1, 1], '
+        '"uniquely_colorable": true, "uniform": 1}, '
+        '{"graph6": "Bw", "n": 3, "chi": 3, "quad": [2, 2, 2, 2], '
+        '"uniquely_colorable": true, "uniform": 2}]\n')
+    # prop1 and its converse hold on every graph this small, so the
+    # counterexamples come from the uniform check: the paw and DLs
+    path = tmp_path / "mixed.g6"
+    path.write_text("CN\nBw\nBADLINE{{\nDLs\n")
+    code, out, _ = run_cli(capsys, "--format", "json", "scan", str(path), "--check", "uniform")
+    assert code == 0 and out == (
+        '{"check": "uniform", "checked": 3, "counterexamples": ['
+        '{"graph6": "CN", "n": 4, "chi": 3, "quad": [2, 2, 3, 3], '
+        '"uniquely_colorable": false, "uniform": null}, '
+        '{"graph6": "DLs", "n": 5, "chi": 3, "quad": [2, 3, 3, 4], '
+        '"uniquely_colorable": false, "uniform": null}], '
+        '"parse_errors": [[3, "trailing characters after n=3 body (byte 2)"]]}\n')
+
+
 def test_atlas_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "atlas", "5")
     assert code == 0
@@ -186,6 +242,21 @@ def test_sudoku_trials_deterministic(capsys):
     assert rows[0] == ["trial", "surviving", "cells"]
     assert len(rows) == 11
     assert "mean=" in err1
+
+
+def test_sudoku_trials_out_is_opened_before_the_campaign(capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr("critsets.sudoku.trial_campaign", lambda *a, **kw: ran.append(a))
+    code, out, err = run_cli(capsys, "sudoku", "trials", "3", "--count", "3000",
+                             "--out", str(tmp_path / "missing" / "t.csv"))
+    assert (code, out, ran, len(err.splitlines())) == (1, "", [], 1)
+    assert err.startswith("error:") and "t.csv" in err
+    # a rejected order leaves an existing --out file as it was
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    code, out, err = run_cli(capsys, "sudoku", "trials", "4", "--out", str(kept))
+    assert (code, out, ran, len(err.splitlines())) == (1, "", [], 1)
+    assert kept.read_text() == "kept\n"
 
 
 def test_sudoku_mnc(capsys):
@@ -241,6 +312,15 @@ def test_reduce_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reduce", "ulcs", "complete:2", "--verify")
     assert code == 0
     assert "consistent=True" in out and "ulcs(G)=4" in out
+
+
+def test_reduce_out_is_opened_before_the_build(capsys, tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr("critsets.reductions.reduce_ulcs", built.append)
+    code, out, err = run_cli(capsys, "reduce", "ulcs", "complete:7",
+                             "--out", str(tmp_path / "missing" / "x"))
+    assert (code, out, built, len(err.splitlines())) == (1, "", [], 1)
+    assert err.startswith("error:") and "x.g6" in err
 
 
 def test_reduce_verify_caps_h_before_building(capsys, tmp_path, monkeypatch):

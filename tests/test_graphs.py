@@ -5,7 +5,8 @@ import random
 import networkx as nx
 import pytest
 
-from critsets.coloring import _orbit_leaders, canonical_colorings
+from critsets.coloring import Coloring, _orbit_leaders, canonical_colorings
+from critsets.critical import ParamQuad
 from critsets.errors import Graph6Error, InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     Graph,
@@ -33,7 +34,8 @@ from critsets.graphs import (
     parse_graph6,
     strong_product,
 )
-from critsets.reductions import reduce_olcs, reduce_ulcs
+from critsets.reductions import reduce_olcs, reduce_ulcs, verify_reduction_small
+from critsets.scan import record_for_graph
 from critsets.sudoku import sudoku_graph
 
 
@@ -178,6 +180,34 @@ def test_neighbor_lists_are_cached_rows():
         back = pickle.loads(pickle.dumps(g))
         assert back == g and hash(back) == key
         assert back.neighbor_lists == lists
+
+
+def test_graphs_colorings_and_records_are_values():
+    g, col = make_cycle(5), Coloring((0, 1, 0, 1, 2), 3)
+    # read-only: no field or new attribute can be set, and no field deleted
+    for obj, field in ((g, "n"), (g, "adj"), (col, "colors"), (col, "k")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+    assert (g.n, col.k) == (5, 3) and not hasattr(g, "extra")
+    # equal fields: equal values with equal hashes; nothing else is equal
+    assert g == Graph(5, g.adj) and hash(g) == hash(Graph(5, g.adj))
+    assert col == Coloring((0, 1, 0, 1, 2), 3) and hash(col) == hash(Coloring(col.colors, 3))
+    assert g != make_path(5) and g != (g.n, g.adj) and col != Coloring(col.colors, 4)
+    assert len({g, Graph(5, g.adj), col, Coloring(col.colors, 3)}) == 2
+    # a pickle round trip keeps the value and restores the cache it carried
+    for obj, cache in ((g, "neighbor_lists"), (col, "class_masks")):
+        built = getattr(obj, cache)
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+        assert vars(back)[cache] == built
+    # records pickle too: scan's worker processes send GraphRecords
+    for rec in (record_for_graph(make_cycle(5)), verify_reduction_small(make_complete(2), "ulcs")):
+        assert pickle.loads(pickle.dumps(rec)) == rec
+    assert ParamQuad(1, 1, 1, 1).witnesses is None
 
 
 def test_graph6_long_form():
