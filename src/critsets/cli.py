@@ -120,17 +120,27 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _table_records(n: int, nonbipartite: bool):
-    from .scan import record_for_graph
+_RECORD_HEADER = ["graph6", "n", "chi", *PARAM_NAMES, "uniquely_colorable", "uniform"]
 
-    for g in graphs.atlas_graphs(n):
-        if nonbipartite and graphs.is_bipartite(g):
-            continue
-        yield record_for_graph(g)
+
+def _record_row(rec) -> list:
+    return [rec.graph6, rec.n, rec.chi, *rec.quad,
+            int(rec.uniquely_colorable), "" if rec.uniform is None else rec.uniform]
+
+
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise InvalidParameterError(f"--jobs must be at least 1 (got {args.jobs})")
+    return args.jobs
 
 
 def cmd_table(args) -> int:
-    records = list(_table_records(args.n, args.nonbipartite))
+    from .scan import walk_graph6_lines
+
+    jobs = _jobs(args)
+    lines = [graphs.emit_graph6(g) for g in graphs.atlas_graphs(args.n)
+             if not (args.nonbipartite and graphs.is_bipartite(g))]
+    records = [rec for _, rec in walk_graph6_lines(lines, jobs)]
     if args.format == "json":
         import json
 
@@ -139,10 +149,8 @@ def cmd_table(args) -> int:
     import csv
 
     w = csv.writer(sys.stdout)
-    w.writerow(["graph6", "n", "chi", *PARAM_NAMES, "uniquely_colorable", "uniform"])
-    for rec in records:
-        w.writerow([rec.graph6, rec.n, rec.chi, *rec.quad,
-                    int(rec.uniquely_colorable), "" if rec.uniform is None else rec.uniform])
+    w.writerow(_RECORD_HEADER)
+    w.writerows(map(_record_row, records))
     return 0
 
 
@@ -151,11 +159,10 @@ def cmd_scan(args) -> int:
 
     if args.progress < 0:
         raise InvalidParameterError(f"--progress must be nonnegative (got {args.progress})")
-    if args.jobs < 1:
-        raise InvalidParameterError(f"--jobs must be at least 1 (got {args.jobs})")
+    jobs = _jobs(args)
     with open(args.file) as fh:
         lines = fh.readlines()
-    report = scan.scan_graph6_lines(lines, args.check, jobs=args.jobs, progress=args.progress)
+    report = scan.scan_graph6_lines(lines, args.check, jobs=jobs, progress=args.progress)
     if args.format == "json":
         import json
 
@@ -170,12 +177,9 @@ def cmd_scan(args) -> int:
         import csv
 
         w = csv.writer(sys.stdout)
-        w.writerow(["graph6", "n", "chi", *PARAM_NAMES, "uniquely_colorable", "uniform", "holds"])
+        w.writerow([*_RECORD_HEADER, "holds"])
         for rec in report.records:
-            w.writerow([rec.graph6, rec.n, rec.chi, *rec.quad,
-                        int(rec.uniquely_colorable),
-                        "" if rec.uniform is None else rec.uniform,
-                        int(scan.implication_holds(report.check, rec))])
+            w.writerow([*_record_row(rec), int(scan.implication_holds(report.check, rec))])
         return 0
     print(f"check={report.check} graphs={report.checked} "
           f"counterexamples={len(report.counterexamples)} parse_errors={len(report.parse_errors)}")
@@ -188,12 +192,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    text = "".join(graphs.emit_graph6(g) + "\n" for g in graphs.atlas_graphs(args.n))
-    if args.out:  # opened only after a bad n has failed
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    graphs.check_atlas_order(args.n)
+    # opened after the n check, before the enumeration: a bad n leaves an
+    # existing file alone, and a path that cannot be written costs no work
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        out.write("".join(graphs.emit_graph6(g) + "\n" for g in graphs.atlas_graphs(args.n)))
+    finally:
+        if args.out:
+            out.close()
     return 0
 
 
@@ -253,7 +260,6 @@ def cmd_sudoku(args) -> int:
             more = "+" if count == cap else ""
             print(f"unfair ({count}{more} completions)")
         return 0
-    raise InvalidParameterError(f"unknown sudoku action {args.action!r}")
 
 
 def cmd_reduce(args) -> int:
@@ -373,7 +379,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
-    except (InternalError, CritsetsError) as exc:
+    except CritsetsError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug outside the package's own errors

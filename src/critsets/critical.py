@@ -232,8 +232,6 @@ def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bo
                 dom &= ~(1 << colors[w])
             else:
                 adj.append(i)
-        if not dom:
-            return False
         local.append(adj)
         allowed.append(dom)
     queue = [i for i, dom in enumerate(allowed) if not dom & (dom - 1)]
@@ -309,16 +307,17 @@ def _maximal_matchings(k: int, occupied: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _difference_masks(
-    owns: Iterable[list[int]], reps: list[list[int]], n: int
+    owns: Iterable[tuple[int, ...]], reps: list[tuple[int, ...]], k: int, n: int
 ) -> Iterator[list[int]]:
-    """For each coloring c in `owns` (as color classes), its minimal
+    """For each coloring c in `owns` (as color tuples), its minimal
     difference masks against every other proper k-coloring of the graph.
 
-    `reps` holds the color classes of one coloring per palette orbit.  A
-    relabelled representative agrees with c on the cells own[a] & rep[b] of
-    a matching of colors, so the largest agreements come from the maximal
-    matchings of the non-empty cells.  c's own relabellings differ from it
-    on own[a] | own[b] for a swap, or on a superset of such a union.
+    `reps` holds one coloring per palette orbit.  With own and rep the color
+    classes of c and of a representative, the relabelled representative
+    agrees with c on the cells own[a] & rep[b] of a matching of colors, so
+    the largest agreements come from the maximal matchings of the non-empty
+    cells.  c's own relabellings differ from it on own[a] | own[b] for a
+    swap, or on a superset of such a union.
 
     The matchings depend only on k and the occupied cells, so they live in
     the process-wide `_MATCHINGS` table: an atlas scan meets a few thousand
@@ -326,9 +325,9 @@ def _difference_masks(
     matchings hold a few hundred distinct tuples, which are interned.
     """
     full = (1 << n) - 1
-    for own in owns:
-        k = len(own)
-        matchings = _MATCHINGS.setdefault(k, {})
+    matchings = _MATCHINGS.setdefault(k, {})
+    reps = [_class_masks(rep, k) for rep in reps]
+    for own in (_class_masks(c, k) for c in owns):
         masks = {own[a] | own[b] for a in range(k) for b in range(a + 1, k)}
         for rep in reps:
             cell = [ca & rb for ca in own for rb in rep]
@@ -507,8 +506,7 @@ def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
         if len(owns) * len(tuples) > LAZY_PAIRS:
             rows = [(tup, *_lazy_extremes(sub, Coloring(tup, k))) for tup in owns]
         else:
-            reps = [_class_masks(tup, k) for tup in tuples]
-            masks = _difference_masks((_class_masks(tup, k) for tup in owns), reps, sub.n)
+            masks = _difference_masks(owns, tuples, k, sub.n)
             rows = [(tup, *_transversal_extremes(m, sub.n)) for tup, m in zip(owns, masks)]
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")

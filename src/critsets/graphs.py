@@ -551,6 +551,15 @@ def _augmentation_roots(g: Graph) -> list[int]:
     return [nb for nb, root in enumerate(_orbit_roots(size, maps)) if root == nb]
 
 
+def check_atlas_order(n: int):
+    """Reject a vertex count the atlas does not cover."""
+    if n < 0:
+        raise InvalidParameterError("n must be nonnegative")
+    if n > CANONICAL_CAP:
+        raise SizeLimitError(f"atlases are computed up to {CANONICAL_CAP} vertices (got {n}); "
+                             "larger catalogs can be scanned from graph6 files")
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on n vertices as canonical forms, sorted by
@@ -565,11 +574,7 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     are symmetric by construction, so only the canonical relabelling
     checks them.  Capped at CANONICAL_CAP vertices (12346 classes on 8).
     """
-    if n < 0:
-        raise InvalidParameterError("n must be nonnegative")
-    if n > CANONICAL_CAP:
-        raise SizeLimitError(f"atlases are computed up to {CANONICAL_CAP} vertices (got {n}); "
-                             "larger catalogs can be scanned from graph6 files")
+    check_atlas_order(n)
     if n == 0:
         return (Graph(0, ()),)
     seen: dict[tuple[int, ...], Graph] = {}
@@ -577,7 +582,7 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         for nb in _augmentation_roots(g):
             rows = [row | (nb >> v & 1) << (n - 1) for v, row in enumerate(g.adj)]
             rows.append(nb)
-            cand = object.__new__(Graph)  # skips __post_init__'s checks
+            cand = object.__new__(Graph)  # skips Graph.__init__'s checks
             object.__setattr__(cand, "n", n)
             object.__setattr__(cand, "adj", tuple(rows))
             cand = canonical_form(cand)

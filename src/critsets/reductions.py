@@ -39,28 +39,13 @@ ULCS = "ulcs"
 OLCS = "olcs"
 
 
-class VertexRole(NamedTuple):
-    """Role tag (V1/V2/V3) with provenance back to the input graph."""
-
-    kind: str
-    info: tuple
-
-    def to_json(self) -> dict:
-        if self.info[0] == "vertex":
-            return {"kind": self.kind, "vertex": self.info[1]}
-        if self.info[0] == "edge_replica":
-            return {"kind": self.kind, "edge": list(self.info[1:3]), "replica": self.info[3]}
-        if self.info[0] == "incidence":
-            return {"kind": self.kind, "vertex": self.info[1], "edge": list(self.info[2])}
-        if self.info[0] == "pair_replica":
-            return {
-                "kind": self.kind,
-                "vertex": self.info[1],
-                "edge": list(self.info[2]),
-                "other_edge": list(self.info[3]),
-                "replica": self.info[4],
-            }
-        return {"kind": self.kind, "corner": self.info[1]}
+# The field names of each role kind, per variant.  A role is a plain
+# (kind, fields) tuple; `role_map_json` pairs its fields with these names.
+_ROLE_KEYS = {
+    ULCS: {"V1": ("vertex",), "V2": ("edge", "replica"), "V3": ("corner",)},
+    OLCS: {"V1": ("vertex", "edge"), "V2": ("vertex", "edge", "other_edge", "replica"),
+           "V3": ("corner",)},
+}
 
 
 class ReductionInstance(NamedTuple):
@@ -68,26 +53,26 @@ class ReductionInstance(NamedTuple):
     source: Graph
     graph: Graph
     k: int
-    roles: tuple[VertexRole, ...]
+    roles: tuple[tuple[str, tuple], ...]  # (kind V1/V2/V3, fields) per vertex
 
     def vertices_with_kind(self, kind: str) -> list[int]:
-        return [v for v, role in enumerate(self.roles) if role.kind == kind]
+        return [v for v, role in enumerate(self.roles) if role[0] == kind]
 
     def role_map_json(self) -> dict:
+        keys = _ROLE_KEYS[self.variant]
         return {
             "variant": self.variant,
             "k": self.k,
             "source_vertices": self.source.n,
             "source_edges": self.source.m,
-            "roles": {str(v): role.to_json() for v, role in enumerate(self.roles)},
+            "roles": {str(v): {"kind": kind, **dict(zip(keys[kind], fields))}
+                      for v, (kind, fields) in enumerate(self.roles)},
         }
 
 
-def _with_triangle(num: int, edges: list, roles: list) -> tuple[list, list]:
-    for j in (1, 2, 3):
-        roles.append(VertexRole("V3", ("corner", j)))
+def _add_triangle(num: int, edges: list, roles: list):
+    roles += [("V3", (j,)) for j in (1, 2, 3)]
     edges += [(num, num + 1), (num, num + 2), (num + 1, num + 2)]
-    return edges, roles
 
 
 def gadget_order(h: Graph, variant: str) -> int:
@@ -110,16 +95,17 @@ def reduce_ulcs(h: Graph) -> ReductionInstance:
     """Instance whose min-lcs reaches k = m+n+3 iff h is not 3-colorable."""
     n, m = h.n, h.m
     replicas = m + n + 1
-    roles = [VertexRole("V1", ("vertex", v)) for v in range(n)]
+    roles = [("V1", (v,)) for v in range(n)]
     edges: list[tuple[int, int]] = []
     idx = n
-    for u, w in h.edges():
+    for e in h.edges():
+        u, w = e
         for j in range(1, replicas + 1):
-            roles.append(VertexRole("V2", ("edge_replica", u, w, j)))
+            roles.append(("V2", (e, j)))
             edges.append((u, idx))
             edges.append((w, idx))
             idx += 1
-    edges, roles = _with_triangle(idx, edges, roles)
+    _add_triangle(idx, edges, roles)
     return ReductionInstance(ULCS, h, Graph.from_edges(idx + 3, edges), m + n + 3, tuple(roles))
 
 
@@ -134,16 +120,16 @@ def reduce_olcs(h: Graph) -> ReductionInstance:
     for v in range(h.n):
         for e in incident[v]:
             x_index[(v, e)] = idx
-            roles.append(VertexRole("V1", ("incidence", v, e)))
+            roles.append(("V1", (v, e)))
             idx += 1
     edges = [(x_index[(u, (u, w))], x_index[(w, (u, w))]) for u, w in h.edges()]
     for v in range(h.n):
         for e, f in combinations(incident[v], 2):
             for j in range(1, replicas + 1):
-                roles.append(VertexRole("V2", ("pair_replica", v, e, f, j)))
+                roles.append(("V2", (v, e, f, j)))
                 edges.append((x_index[(v, e)], idx))
                 idx += 1
-    edges, roles = _with_triangle(idx, edges, roles)
+    _add_triangle(idx, edges, roles)
     k = replicas * sum(comb(len(incident[v]), 2) for v in range(h.n)) + 2
     return ReductionInstance(OLCS, h, Graph.from_edges(idx + 3, edges), k, tuple(roles))
 
@@ -155,39 +141,31 @@ def _check_h_coloring(h: Graph, c3: Coloring):
         raise InvalidParameterError("source coloring is not proper")
 
 
+def _proof_coloring(instance: ReductionInstance, c3: Coloring, variant: str,
+                    replica_color) -> Coloring:
+    """V1 vertices copy their source vertex (field 0), replicas take
+    `replica_color(colors, fields)`, and the triangle takes 0,1,2."""
+    if instance.variant != variant:
+        name = "min-lcs" if variant == ULCS else "max-lcs"
+        raise InvalidParameterError(f"instance is not the {name} variant")
+    _check_h_coloring(instance.source, c3)
+    cs = c3.colors
+    return Coloring(tuple(
+        cs[f[0]] if kind == "V1" else replica_color(cs, f) if kind == "V2" else f[0] - 1
+        for kind, f in instance.roles), 3)
+
+
 def proof_coloring_ulcs(instance: ReductionInstance, c3: Coloring) -> Coloring:
     """Lift a proper 3-coloring of H: each edge replica takes the color
-    missing from its endpoints; the triangle takes 0,1,2."""
-    if instance.variant != ULCS:
-        raise InvalidParameterError("instance is not the min-lcs variant")
-    _check_h_coloring(instance.source, c3)
-    colors = []
-    for role in instance.roles:
-        if role.info[0] == "vertex":
-            colors.append(c3.colors[role.info[1]])
-        elif role.info[0] == "edge_replica":
-            u, w = role.info[1], role.info[2]
-            colors.append(min({0, 1, 2} - {c3.colors[u], c3.colors[w]}))
-        else:
-            colors.append(role.info[1] - 1)
-    return Coloring(tuple(colors), 3)
+    missing from its endpoints (3 minus their sum); the triangle takes
+    0,1,2."""
+    return _proof_coloring(instance, c3, ULCS, lambda cs, f: 3 - cs[f[0][0]] - cs[f[0][1]])
 
 
 def proof_coloring_olcs(instance: ReductionInstance, c3: Coloring) -> Coloring:
     """Lift a proper 3-coloring of H: incidence vertices copy their source
     vertex; each replica takes the least color different from it."""
-    if instance.variant != OLCS:
-        raise InvalidParameterError("instance is not the max-lcs variant")
-    _check_h_coloring(instance.source, c3)
-    colors = []
-    for role in instance.roles:
-        if role.info[0] == "incidence":
-            colors.append(c3.colors[role.info[1]])
-        elif role.info[0] == "pair_replica":
-            colors.append(min({0, 1, 2} - {c3.colors[role.info[1]]}))
-        else:
-            colors.append(role.info[1] - 1)
-    return Coloring(tuple(colors), 3)
+    return _proof_coloring(instance, c3, OLCS, lambda cs, f: 1 if cs[f[0]] == 0 else 0)
 
 
 class ReductionReport(NamedTuple):
@@ -254,9 +232,9 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
 
     elif variant == ULCS and not three_col:
         replicas_by_edge: dict[tuple[int, int], list[int]] = {}
-        for v, role in enumerate(instance.roles):
-            if role.info[0] == "edge_replica":
-                replicas_by_edge.setdefault((role.info[1], role.info[2]), []).append(v)
+        for v, (kind, fields) in enumerate(instance.roles):
+            if kind == "V2":
+                replicas_by_edge.setdefault(fields[0], []).append(v)
         ok, detail = True, f"{samples} sampled colorings: monochromatic-edge replicas all forced"
         for _ in range(samples):
             c = sample_proper_coloring(g, 3, rng)
@@ -297,9 +275,9 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
         # OLCS with H not 3-colorable: sampled colorings must split some
         # incidence group, which is what caps critical sets below k.
         groups: list[list[int]] = [[] for _ in range(h.n)]
-        for i, role in enumerate(instance.roles):
-            if role.info[0] == "incidence":
-                groups[role.info[1]].append(i)
+        for i, (kind, fields) in enumerate(instance.roles):
+            if kind == "V1":
+                groups[fields[0]].append(i)
         ok, detail = True, f"{samples} sampled colorings all split some incidence pair"
         for _ in range(samples):
             c = sample_proper_coloring(g, 3, rng)

@@ -66,10 +66,22 @@ def implication_holds(check: str, rec: GraphRecord) -> bool:
 def _worker(args: tuple[int, str]):
     line_no, line = args
     try:
-        g = parse_graph6(line)
-        return line_no, record_for_graph(g, line), None
+        return line_no, record_for_graph(parse_graph6(line), line)
     except Graph6Error as exc:
-        return line_no, None, str(exc)
+        return line_no, str(exc)
+
+
+def walk_graph6_lines(lines, jobs: int = 1):
+    """Yield (line number, `GraphRecord` or parse error message) for each
+    nonblank line, in input order, on `jobs` worker processes when jobs > 1."""
+    tasks = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    if jobs <= 1:
+        yield from map(_worker, tasks)
+        return
+    import multiprocessing  # only pools pay its import time
+
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(_worker, tasks, chunksize=16)
 
 
 def scan_graph6_lines(
@@ -85,26 +97,14 @@ def scan_graph6_lines(
     """
     if check not in CHECKS:
         raise ValueError(f"check must be one of {CHECKS}")
-    tasks = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     report = ScanReport(check, [], [], [])
-    if jobs > 1:
-        import multiprocessing  # only pools pay its import time
-
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.imap(_worker, tasks, chunksize=16)
-            _collect(report, results, check, progress)
-    else:
-        _collect(report, map(_worker, tasks), check, progress)
-    return report
-
-
-def _collect(report: ScanReport, results, check: str, progress):
-    for done, (line_no, rec, err) in enumerate(results, 1):
-        if err is not None:
-            report.parse_errors.append((line_no, err))
+    for done, (line_no, rec) in enumerate(walk_graph6_lines(lines, jobs), 1):
+        if isinstance(rec, str):
+            report.parse_errors.append((line_no, rec))
             continue
         report.records.append(rec)
         if not implication_holds(check, rec):
             report.counterexamples.append(rec)
         if progress and done % progress == 0:
             print(f"  scanned {done} graphs", file=sys.stderr, flush=True)
+    return report

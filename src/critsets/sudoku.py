@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .coloring import (
     Coloring,
-    _class_masks,
     _orbit_leaders,
     _shuffle,
     canonical_colorings,
@@ -330,14 +329,12 @@ def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     side, cells = 4, 16
     graph = sudoku_graph(2).graph
     orbit_reps = list(canonical_colorings(graph, side))
-    reps = [_class_masks(r, side) for r in orbit_reps]
     if symmetry:
         candidates = [orbit_reps[i] for i in _orbit_leaders(graph, orbit_reps)]
     else:
         candidates = all_boards(2)
-    owns = (_class_masks(board, side) for board in candidates)
     best = None
-    for board, masks in zip(candidates, _difference_masks(owns, reps, cells)):
+    for board, masks in zip(candidates, _difference_masks(candidates, orbit_reps, side, cells)):
         got = _transversal_extremes(masks, cells, None if best is None else best[0] - 1)
         if got is not None:
             best = (got[0], board, got[1])

@@ -207,6 +207,50 @@ def test_table_and_scan_json_bytes(capsys, tmp_path):
         '"parse_errors": [[3, "trailing characters after n=3 body (byte 2)"]]}\n')
 
 
+def test_scan_csv_and_progress_bytes(capsys, tmp_path):
+    # blank lines are skipped, bad lines keep their line number, and
+    # --progress counts parse errors among the lines it has walked
+    path = tmp_path / "mixed.g6"
+    path.write_text("CN\nBw\n\nBADLINE{{\nDLs\nB?\n")
+    code, out, err = run_cli(capsys, "--format", "csv", "scan", str(path), "--check", "uniform")
+    assert (code, err) == (0, "") and out == (
+        "graph6,n,chi,uscs,oscs,ulcs,olcs,uniquely_colorable,uniform,holds\r\n"
+        "CN,4,3,2,2,3,3,0,,0\r\n"
+        "Bw,3,3,2,2,2,2,1,2,1\r\n"
+        "DLs,5,3,2,3,3,4,0,,0\r\n"
+        "B?,3,1,0,0,0,0,1,0,1\r\n")
+    code, out, err = run_cli(capsys, "scan", str(path), "--check", "prop1", "--progress", "2")
+    assert code == 0 and out == (
+        "check=prop1 graphs=4 counterexamples=0 parse_errors=1\n"
+        "  line 4: trailing characters after n=3 body (byte 2)\n")
+    assert err == "  scanned 2 graphs\n  scanned 4 graphs\n"
+
+
+def test_table_keeps_its_bytes_on_two_workers(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, "--jobs", jobs, "table", "4")
+        assert (code, err) == (0, ""), jobs
+        outs.append(out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 12
+
+
+def test_table_rejects_jobs_below_one(capsys):
+    code, out, err = run_cli(capsys, "--jobs", "0", "table", "3")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "--jobs" in err
+
+
+def test_atlas_out_is_opened_before_the_enumeration(capsys, tmp_path, monkeypatch):
+    def enumerate_nothing(n):
+        raise AssertionError("the atlas was enumerated")
+
+    monkeypatch.setattr("critsets.graphs.atlas_graphs", enumerate_nothing)
+    code, out, err = run_cli(capsys, "atlas", "7", "--out", str(tmp_path / "missing" / "x.g6"))
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("error:") and "x.g6" in err
+
+
 def test_atlas_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "atlas", "5")
     assert code == 0
@@ -283,6 +327,10 @@ def test_sudoku_certify(capsys, tmp_path):
     blank.write_text("")
     code, _, err = run_cli(capsys, "sudoku", "certify", str(blank))
     assert code == 1 and "no board rows" in err
+    clash = tmp_path / "clash.txt"  # two 1s in the first row: no board completes it
+    clash.write_text("1 1 . .\n. . . .\n. . . .\n. . . .\n")
+    code, out, _ = run_cli(capsys, "sudoku", "certify", str(clash))
+    assert code == 0 and out == "unfair (no completion)\n"
     code, out, _ = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", "5")
     assert code == 0 and out.strip() == "unfair (5+ completions)"
     code, out, _ = run_cli(capsys, "sudoku", "certify", str(empty), "--cap-extensions", "500")

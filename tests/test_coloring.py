@@ -105,6 +105,16 @@ def test_count_extensions_examples():
     assert count_colorings_extending(two_edges, 2, {0: 0}, cap=10) == 2
 
 
+def test_count_extensions_rejects_a_bad_cap_or_assignment():
+    c5 = make_cycle(5)
+    for cap in (0, -2):
+        with pytest.raises(InvalidParameterError, match="cap must be at least 1"):
+            count_colorings_extending(c5, 3, {}, cap)
+    for v, c in ((0, 3), (0, -1), (5, 0), (-1, 0)):
+        with pytest.raises(InvalidParameterError, match=f"assignment {v}->{c} out of range"):
+            count_colorings_extending(c5, 3, {v: c}, cap=2)
+
+
 def test_count_extensions_monotone_in_support():
     rng = random.Random(3)
     for g in enumerate_graphs(5)[::7]:
@@ -166,6 +176,17 @@ def test_sample_proper_coloring_is_seeded_and_proper():
     # a coloring of the wrong length is not a coloring of g
     assert not Coloring(a.colors[:-1], 3).is_proper(g)
     assert not Coloring(a.colors + (0,), 3).is_proper(g)
+
+
+def test_sample_proper_coloring_backtracks_and_refuses():
+    # C10 has two proper 2-colorings, and most seeds meet a dead end on the
+    # way to one of them; K4 has no proper 3-coloring at all
+    c10 = make_cycle(10)
+    for seed in range(20):
+        c = sample_proper_coloring(c10, 2, random.Random(seed))
+        assert c.k == 2 and c.colors in ((0, 1) * 5, (1, 0) * 5), seed
+    with pytest.raises(InvalidParameterError, match="admits no proper 3-coloring"):
+        sample_proper_coloring(make_complete(4), 3, random.Random(0))
 
 
 def test_coloring_palette_check_and_class_masks():

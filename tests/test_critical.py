@@ -17,7 +17,6 @@ from critsets.coloring import (
 )
 from critsets.critical import (
     PARAM_NAMES,
-    _class_masks,
     _component_extremes,
     _determines,
     _difference_masks,
@@ -87,6 +86,14 @@ def test_point_checks_reject_malformed_colorings():
             is_critical(p3, bad, 0b001)
         with pytest.raises(InvalidParameterError):
             prune_to_critical(p3, bad, [0, 1, 2])
+
+
+def test_point_checks_reject_a_subset_beyond_the_graph():
+    p3 = make_path(3)
+    good = Coloring((0, 1, 0), 2)
+    for check in (is_determining, is_critical):
+        with pytest.raises(InvalidParameterError, match="subset has bits beyond vertex range"):
+            check(p3, good, 0b1001)
 
 
 def _count_determines(g, coloring, subset):
@@ -356,10 +363,10 @@ def test_difference_masks_match_determining_point_checks():
         for g in enumerate_graphs(n):
             chi = chromatic_number(g)
             for k in (chi, chi + 1):
-                reps = [_class_masks(tup, k) for tup in canonical_colorings(g, k)]
-                for tup in canonical_colorings(g, k):
+                reps = list(canonical_colorings(g, k))
+                for tup in reps:
                     coloring = Coloring(tup, k)
-                    masks = next(_difference_masks([_class_masks(tup, k)], reps, g.n))
+                    masks = next(_difference_masks([tup], reps, k, g.n))
                     for subset in range(1 << g.n):
                         hits_all = all(subset & m for m in masks)
                         assert hits_all == is_determining(g, coloring, subset), (g.adj, tup, subset)
@@ -415,9 +422,9 @@ def test_difference_masks_match_definition(monkeypatch):
         for g in small:
             if chromatic_number(g) > k:
                 continue
-            reps = [_class_masks(tup, k) for tup in canonical_colorings(g, k)]
+            reps = list(canonical_colorings(g, k))
             for (tup, minimal), masks in zip(_brute_minimal_masks(g, k),
-                                             _difference_masks(reps, reps, g.n)):
+                                             _difference_masks(reps, reps, k, g.n)):
                 assert sorted(masks) == minimal, (g.adj, k, tup)
 
 
@@ -482,9 +489,8 @@ def _unpruned_four_params(g, k):
     for comp in connected_components(g):
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
-        reps = [_class_masks(tup, k) for tup in tuples]
         rows = [(tup, *_transversal_extremes(masks, sub.n))
-                for tup, masks in zip(tuples, _difference_masks(reps, reps, sub.n))]
+                for tup, masks in zip(tuples, _difference_masks(tuples, tuples, k, sub.n))]
         components.append((verts, rows))
     out = {}
     for name, pick, i in zip(PARAM_NAMES, (min, max, min, max), (1, 1, 3, 3)):

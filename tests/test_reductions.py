@@ -114,10 +114,25 @@ def test_proof_coloring_olcs():
     assert lifted.is_proper(inst.graph)
     rainbow = colorful_vertices(inst.graph, lifted)
     for y in inst.vertices_with_kind("V2"):
-        role = inst.roles[y]
-        assert role.info[1] == 1  # all replicas sit at the degree-2 center
+        _, fields = inst.roles[y]
+        assert fields[0] == 1  # all replicas sit at the degree-2 center
         assert lifted.colors[y] == 1  # least color other than 0
         assert not rainbow >> y & 1  # degree-1 vertices see only two colors
+
+
+def test_proof_colorings_check_variant_and_source_coloring():
+    ulcs, olcs = reduce_ulcs(make_path(3)), reduce_olcs(make_path(3))
+    c3 = Coloring((1, 0, 1), 3)
+    with pytest.raises(InvalidParameterError, match="not the min-lcs variant"):
+        proof_coloring_ulcs(olcs, c3)
+    with pytest.raises(InvalidParameterError, match="not the max-lcs variant"):
+        proof_coloring_olcs(ulcs, c3)
+    for inst, lift in ((ulcs, proof_coloring_ulcs), (olcs, proof_coloring_olcs)):
+        for bad in (Coloring((1, 0), 3), Coloring((1, 0, 1, 0), 3), Coloring((1, 0, 1), 2)):
+            with pytest.raises(InvalidParameterError, match="expected a 3-coloring"):
+                lift(inst, bad)
+        with pytest.raises(InvalidParameterError, match="source coloring is not proper"):
+            lift(inst, Coloring((1, 1, 0), 3))
 
 
 def test_forced_vertices():

@@ -227,6 +227,22 @@ def test_certify_fair_puzzle_examples():
     assert not certify_fair_puzzle(s, board, 0b111)  # any 3 clues are unfair
 
 
+def test_board_checks_reject_a_wrong_shape_or_an_improper_board():
+    s = sudoku_graph(2)
+    board = all_boards(2)[0]
+    short = Coloring(board[:-1], 4)
+    clash = Coloring((board[1],) + board[1:], 4)  # cells 0 and 1 share a row
+    for check in (random_determining_set, lambda s, b: neighbor_color_counts(s, b, 0)):
+        with pytest.raises(InvalidParameterError, match="board shape does not match"):
+            check(s, short)
+        with pytest.raises(InvalidParameterError, match="board shape does not match"):
+            check(s, Coloring(board, 5))
+        with pytest.raises(InvalidParameterError, match="board violates a row/column/box"):
+            check(s, clash)
+    with pytest.raises(InvalidParameterError, match="board shape does not match"):
+        certify_fair_puzzle(s, Coloring(board, 5), 0)
+
+
 def test_mnc_exhaustive():
     sym = mnc_exhaustive(2, symmetry=True)
     full = mnc_exhaustive(2, symmetry=False)
