@@ -20,7 +20,7 @@ reductions by `reduce`.  formulas is never loaded.  From the standard
 library, start-up loads argparse (with gettext), base64, random, typing,
 functools, itertools, operator and os, and no more: the records are
 `typing.NamedTuple`s, and json and csv are imported by the commands that
-write them.
+print them (`reduce --out` writes its role map without json).
 """
 
 from __future__ import annotations
@@ -280,10 +280,9 @@ def cmd_reduce(args) -> int:
         print(f"variant={instance.variant} |V(G)|={instance.graph.n} "
               f"|E(G)|={instance.graph.m} k={instance.k}")
         if outs:
-            import json
-
-            outs[0].write(graphs.emit_graph6(instance.graph) + "\n")
-            json.dump(instance.role_map_json(), outs[1], indent=2)
+            outs[0].write(graphs.emit_graph6(instance.graph))
+            outs[0].write("\n")  # a separate write: `+ "\n"` would copy the whole text
+            instance.write_role_map(outs[1])
             print(f"wrote {args.out}.g6 and {args.out}.roles.json", file=sys.stderr)
     finally:
         for fh in outs:

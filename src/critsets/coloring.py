@@ -327,13 +327,16 @@ def is_uniquely_colorable(g: Graph) -> bool:
     return len(list(islice(enumerate_optimal_colorings(g), 2))) == 1
 
 
-def colorful_vertices(g: Graph, coloring: Coloring) -> VertexSet:
-    """Vertices whose closed neighborhood shows all k palette colors."""
+def colorful_vertices(g: Graph, coloring: Coloring, among=None) -> VertexSet:
+    """Vertices whose closed neighborhood shows all k palette colors, out
+    of the vertices `among` (all of V when None)."""
+    nbrs = g.neighbor_lists
+    colors = coloring.colors
     out = 0
-    for v, nbrs in enumerate(g.neighbor_lists):
-        seen = 1 << coloring.colors[v]
-        for w in nbrs:
-            seen |= 1 << coloring.colors[w]
+    for v in range(g.n) if among is None else among:
+        seen = 1 << colors[v]
+        for w in nbrs[v]:
+            seen |= 1 << colors[w]
         if seen.bit_count() == coloring.k:
             out |= 1 << v
     return out
@@ -354,10 +357,18 @@ def sample_proper_coloring(g: Graph, k: int, rng: random.Random) -> Coloring:
     degree = [len(row) for row in nbrs]  # one list per call, not a bit count per comparison
     order.sort(key=degree.__getitem__, reverse=True)
     colors = [-1] * g.n
+    # each palette is `_shuffle`d in place: the same Fisher-Yates steps,
+    # (index, bound, bits per draw) computed once per call
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
+    base = list(range(k))
     palettes = []
-    for v in order:
-        p = list(range(k))
-        _shuffle(p, getrandbits)
+    for _ in order:
+        p = base.copy()
+        for i, m, b in steps:
+            j = getrandbits(b)
+            while j >= m:
+                j = getrandbits(b)
+            p[i], p[j] = p[j], p[i]
         palettes.append(p)
 
     tried = [0] * g.n  # per level: how many colors of palettes[i] are used up

@@ -49,10 +49,14 @@ goes through `_still_determines`, which counts on v's free region alone:
 the minimality loop of `is_critical` and every step of
 `prune_to_critical` hold that precondition, so a certificate on a gadget
 graph costs about linear time instead of one whole-graph count per
-vertex.  Both checks need a proper coloring, so every point check rejects
-an improper one.  The vertices in every determining set need no
-count at all: they are the vertices that are not colorful
-(`forced_vertices`).
+vertex.  When every neighbor of v is fixed it needs no count: v is
+forced iff they show the other k-1 colors, one AND per color class.
+Otherwise the region grows by one row OR per vertex, and each region
+vertex reads its domain from k class masks of subset - {v}; v itself is
+not fixed there, or every drop would look safe.  Both checks need a
+proper coloring, so every point check rejects an improper one.  The
+vertices in every determining set need no count at all: they are the
+vertices that are not colorful (`forced_vertices`).
 
 Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
@@ -89,7 +93,7 @@ from .coloring import (
     colorful_vertices,
 )
 from .errors import InternalError, InvalidParameterError, SizeLimitError
-from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph
+from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph, reach
 
 PARAM_NAMES = ("uscs", "oscs", "ulcs", "olcs")
 # the implications about a quad that `scan.implication_holds` tests
@@ -202,37 +206,38 @@ def _determines(g: Graph, coloring: Coloring, subset: VertexSet, found: list | N
     return _count(g.neighbor_lists, allowed, fixed, queue, 2, found) == 1
 
 
-def _still_determines(nbrs, coloring: Coloring, subset: VertexSet, v: int) -> bool:
+def _still_determines(g: Graph, coloring: Coloring, subset: VertexSet, v: int) -> bool:
     """For a `subset` that determines the coloring: whether subset - {v}
     still does.
 
     Only the free region around v can gain a second extension: every free
     component of `subset` that v does not touch keeps the unique extension
-    it already had.  So the count runs on v's merged free component alone,
-    each vertex allowed the palette minus the colors of its fixed
-    neighbors.
+    it already had.  When every neighbor of v is fixed, the region is v
+    alone, which is forced exactly when its neighbors show the other k-1
+    colors.  Otherwise the region grows on bitsets, one row OR per vertex,
+    and the count runs on it alone, each vertex allowed the palette minus
+    the colors of its neighbors in subset - {v}.
     """
-    colors = coloring.colors
-    index = {v: 0}
-    region = [v]
-    for u in region:
-        for w in nbrs[u]:
-            if w not in index and not subset >> w & 1:
-                index[w] = len(region)
-                region.append(w)
+    adj = g.adj
+    row = adj[v]
+    classes = coloring.class_masks
+    if not row & ~subset:
+        return sum(1 for cls in classes if row & cls) == coloring.k - 1
+    region = reach(g, 1 << v, ~subset)
+    rest = subset ^ 1 << v  # the fixed set once v is dropped
+    fixed = [cls & rest for cls in classes]
+    verts = bits(region)
+    index = {u: i for i, u in enumerate(verts)}
     full = (1 << coloring.k) - 1
     local = []
     allowed = []
-    for u in region:
+    for u in verts:
+        row = adj[u]
         dom = full
-        adj = []
-        for w in nbrs[u]:
-            i = index.get(w)
-            if i is None:
-                dom &= ~(1 << colors[w])
-            else:
-                adj.append(i)
-        local.append(adj)
+        for c, cls in enumerate(fixed):
+            if row & cls:
+                dom ^= 1 << c
+        local.append([index[w] for w in bits(row & region)])
         allowed.append(dom)
     queue = [i for i, dom in enumerate(allowed) if not dom & (dom - 1)]
     return _count(local, allowed, bytearray(len(local)), queue, 2) == 1
@@ -247,9 +252,8 @@ def is_determining(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
 def is_critical(g: Graph, coloring: Coloring, subset: VertexSet) -> CriticalCertificate:
     """Determining plus minimality flags for (g, coloring, subset)."""
     _check_point(g, coloring, subset)
-    nbrs = g.neighbor_lists
     det = _determines(g, coloring, subset)
-    minimal = det and not any(_still_determines(nbrs, coloring, subset, v) for v in bits(subset))
+    minimal = det and not any(_still_determines(g, coloring, subset, v) for v in bits(subset))
     return CriticalCertificate(coloring, subset, det, minimal)
 
 
@@ -258,10 +262,9 @@ def prune_to_critical(g: Graph, coloring: Coloring, order: list[int]) -> VertexS
     set is inclusion-minimal determining (monotonicity) once `order` has
     named every vertex."""
     _check_proper(g, coloring)
-    nbrs = g.neighbor_lists
     subset = (1 << g.n) - 1
     for v in order:
-        if subset >> v & 1 and _still_determines(nbrs, coloring, subset, v):
+        if subset >> v & 1 and _still_determines(g, coloring, subset, v):
             subset ^= 1 << v
     return subset
 

@@ -214,21 +214,26 @@ def edge_union(g: Graph, h: Graph) -> Graph:
 # structure queries
 
 
+def reach(g: Graph, start: VertexSet, within: VertexSet) -> VertexSet:
+    """The vertices reachable from `start` through vertices of `within`,
+    `start` included, grown one row OR per vertex."""
+    comp = frontier = start
+    while frontier:
+        grow = 0
+        for v in bits(frontier):
+            grow |= g.adj[v]
+        frontier = grow & within & ~comp
+        comp |= frontier
+    return comp
+
+
 def connected_components(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
     """Vertex masks of the connected components, by least vertex, of g or
     of its subgraph induced on `within`."""
     remaining = (1 << g.n) - 1 if within is None else within
     comps = []
     while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & remaining & ~comp
-            comp |= frontier
+        comp = reach(g, remaining & -remaining, remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -292,16 +297,19 @@ def emit_graph6(g: Graph) -> str:
         raise InvalidParameterError(f"graph6 output capped at {_G6_MAX_LONG} vertices")
     # Columns 1..48m hold 24m(48m + 1) bits, whole 24-bit base64 groups, so
     # each block of 48 columns packs on its own and the bit string stays
-    # small; only the last block needs zero padding.
-    out = []
+    # small; only the last block needs zero padding.  Blocks are translated
+    # into one growing buffer, so a large graph's text is held at most twice:
+    # the buffer and the result.
+    out = bytearray(head, "ascii")
     for start in range(1, n, 48):
         cols = range(start, min(start + 48, n))
         # rows 0..j-1 of column j, row 0 first
         block = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in cols)
         block += "0" * (-len(block) % 24)
-        out.append(base64.b64encode(int(block, 2).to_bytes(len(block) // 8, "big")))
-    body = b"".join(out).translate(_G6_FROM_BASE64).decode("ascii")
-    return head + body[: (n * (n - 1) // 2 + 5) // 6]
+        out += base64.b64encode(int(block, 2).to_bytes(len(block) // 8, "big")).translate(
+            _G6_FROM_BASE64)
+    del out[len(head) + (n * (n - 1) // 2 + 5) // 6:]
+    return out.decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -31,9 +31,9 @@ from .coloring import (
     colorful_vertices,
     sample_proper_coloring,
 )
-from .critical import forced_vertices, four_params, is_critical, prune_to_critical
+from .critical import four_params, is_critical, prune_to_critical
 from .errors import InvalidParameterError, SizeLimitError
-from .graphs import _G6_MAX_LONG, Graph
+from .graphs import _G6_MAX_LONG, Graph, bits
 
 ULCS = "ulcs"
 OLCS = "olcs"
@@ -68,6 +68,33 @@ class ReductionInstance(NamedTuple):
             "roles": {str(v): {"kind": kind, **dict(zip(keys[kind], fields))}
                       for v, (kind, fields) in enumerate(self.roles)},
         }
+
+    def write_role_map(self, fh) -> None:
+        """Write `role_map_json()` to fh byte for byte as
+        `json.dump(..., fh, indent=2)` does, one `fh.write` per role,
+        without building the map or running json's pure-Python encoder
+        (the one `indent` selects)."""
+        fh.write(f'{{\n  "variant": "{self.variant}",\n  "k": {self.k},\n'
+                 f'  "source_vertices": {self.source.n},\n'
+                 f'  "source_edges": {self.source.m},\n  "roles": {{')
+        heads = {kind: [f',\n      "{key}": ' for key in names]
+                 for kind, names in _ROLE_KEYS[self.variant].items()}
+        lists: dict[tuple, str] = {}  # each tuple field's text, built once
+        sep = "\n"
+        for v, (kind, fields) in enumerate(self.roles):
+            parts = [f'{sep}    "{v}": {{\n      "kind": "{kind}"']
+            for head, x in zip(heads[kind], fields):
+                if x.__class__ is tuple:
+                    text = lists.get(x)
+                    if text is None:
+                        text = lists[x] = "[\n        " + ",\n        ".join(map(str, x)) + "\n      ]"
+                    parts += (head, text)
+                else:
+                    parts += (head, str(x))
+            parts.append("\n    }")
+            fh.write("".join(parts))
+            sep = ",\n"
+        fh.write("\n  }\n}")
 
 
 def _add_triangle(num: int, edges: list, roles: list):
@@ -242,8 +269,8 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
             if mono is None:
                 ok, detail = False, "sampled coloring induced a proper 3-coloring of H"
                 break
-            forced = forced_vertices(g, c)
-            loose = [r for r in replicas_by_edge[mono] if not forced >> r & 1]
+            # forced = not colorful (`forced_vertices`), tested on these replicas only
+            loose = bits(colorful_vertices(g, c, replicas_by_edge[mono]))
             if loose:
                 ok, detail = False, f"replica {loose[0]} not forced"
                 break

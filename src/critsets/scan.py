@@ -93,18 +93,19 @@ def scan_graph6_lines(
     """Run one implication check over graph6 lines.
 
     Bad lines are recorded and skipped; record order follows input order
-    even when distributed over a pool.
+    even when distributed over a pool.  Every `progress` records (bad
+    lines do not count), one line goes to stderr.
     """
     if check not in CHECKS:
         raise ValueError(f"check must be one of {CHECKS}")
     report = ScanReport(check, [], [], [])
-    for done, (line_no, rec) in enumerate(walk_graph6_lines(lines, jobs), 1):
+    for line_no, rec in walk_graph6_lines(lines, jobs):
         if isinstance(rec, str):
             report.parse_errors.append((line_no, rec))
             continue
         report.records.append(rec)
         if not implication_holds(check, rec):
             report.counterexamples.append(rec)
-        if progress and done % progress == 0:
-            print(f"  scanned {done} graphs", file=sys.stderr, flush=True)
+        if progress and report.checked % progress == 0:
+            print(f"  scanned {report.checked} graphs", file=sys.stderr, flush=True)
     return report

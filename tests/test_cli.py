@@ -39,7 +39,8 @@ def test_cli_import_leaves_multiprocessing_out(tmp_path):
     # only scans with --jobs > 1 start a pool, so only they import it; each
     # subcommand loads the four core modules plus only what it runs; no
     # command loads dataclasses, or inspect through it; and json and csv load
-    # only with a command that writes them.  Standard-library modules are
+    # only with a command that prints them (`reduce --out` writes its role
+    # map without json).  Standard-library modules are
     # compared with a bare interpreter in the same environment, since site
     # may preload some.
     core = {"critsets", "critsets.cli", "critsets.coloring", "critsets.critical",
@@ -63,7 +64,7 @@ def test_cli_import_leaves_multiprocessing_out(tmp_path):
         (["sudoku", "trials", "2", "--count", "2"], core | {"critsets.sudoku"}, {"csv"}),
         (["reduce", "ulcs", "complete:3", "--verify"], core | {"critsets.reductions"}, set()),
         (["reduce", "ulcs", "complete:2", "--out", str(tmp_path / "g")],
-         core | {"critsets.reductions"}, {"json"}),
+         core | {"critsets.reductions"}, set()),
     ]
     baseline = _fresh_modules(cli=False)
     for argv, expected, writers in cases:
@@ -209,7 +210,8 @@ def test_table_and_scan_json_bytes(capsys, tmp_path):
 
 def test_scan_csv_and_progress_bytes(capsys, tmp_path):
     # blank lines are skipped, bad lines keep their line number, and
-    # --progress counts parse errors among the lines it has walked
+    # --progress counts records only (here the bad line falls between
+    # the two reports)
     path = tmp_path / "mixed.g6"
     path.write_text("CN\nBw\n\nBADLINE{{\nDLs\nB?\n")
     code, out, err = run_cli(capsys, "--format", "csv", "scan", str(path), "--check", "uniform")
@@ -224,6 +226,18 @@ def test_scan_csv_and_progress_bytes(capsys, tmp_path):
         "check=prop1 graphs=4 counterexamples=0 parse_errors=1\n"
         "  line 4: trailing characters after n=3 body (byte 2)\n")
     assert err == "  scanned 2 graphs\n  scanned 4 graphs\n"
+
+
+def test_scan_progress_counts_records_only(capsys, tmp_path):
+    # a bad line neither counts as a graph nor takes the place of a report
+    path = tmp_path / "bad-second.g6"
+    path.write_text("Bw\nBAD{{\nCN\n")
+    code, _, err = run_cli(capsys, "scan", str(path), "--check", "prop1", "--progress", "1")
+    assert code == 0 and err == "  scanned 1 graphs\n  scanned 2 graphs\n"
+    path = tmp_path / "bad-third.g6"
+    path.write_text("Bw\nCN\nBAD{{\nDLs\n")
+    code, out, err = run_cli(capsys, "scan", str(path), "--check", "prop1", "--progress", "3")
+    assert code == 0 and out.startswith("check=prop1 graphs=3 ") and err == "  scanned 3 graphs\n"
 
 
 def test_table_keeps_its_bytes_on_two_workers(capsys):

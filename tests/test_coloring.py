@@ -242,6 +242,58 @@ def test_sample_proper_coloring_pinned():
             assert hashlib.sha256(bytes(c.colors)).hexdigest()[:16] == digest, (variant, name, seed)
 
 
+def _reference_sample(g, k, rng):
+    """`sample_proper_coloring` written with `random.Random.shuffle` for
+    the vertex order and for each palette: the reference for its inlined
+    draws."""
+    nbrs = g.neighbor_lists
+    order = list(range(g.n))
+    rng.shuffle(order)
+    order.sort(key=lambda v: len(nbrs[v]), reverse=True)
+    palettes = []
+    for _ in order:
+        p = list(range(k))
+        rng.shuffle(p)
+        palettes.append(p)
+    colors = [-1] * g.n
+    tried = [0] * g.n
+    i = 0
+    while 0 <= i < g.n:
+        v = order[i]
+        colors[v] = -1
+        taken = {colors[w] for w in nbrs[v]}
+        p = palettes[i]
+        j = tried[i]
+        while j < k and p[j] in taken:
+            j += 1
+        if j < k:
+            colors[v] = p[j]
+            tried[i] = j + 1
+            i += 1
+        else:
+            tried[i] = 0
+            i -= 1
+    return tuple(colors) if i >= 0 else None
+
+
+def test_sample_proper_coloring_matches_reference_draws():
+    # the same coloring and the same generator state after, at every
+    # palette size, including those the gadget's triangle rules out
+    gadgets = (reduce_ulcs(make_complete(4)).graph, reduce_olcs(make_complete(3)).graph,
+               reduce_olcs(make_cycle(5)).graph)
+    for g in gadgets:
+        for k in range(1, 6):
+            for seed in range(3):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                expected = _reference_sample(g, k, theirs)
+                if expected is None:
+                    with pytest.raises(InvalidParameterError, match="admits no proper"):
+                        sample_proper_coloring(g, k, ours)
+                else:
+                    assert sample_proper_coloring(g, k, ours) == Coloring(expected, k), (g.n, k)
+                assert ours.getstate() == theirs.getstate(), (g.n, k, seed)
+
+
 def test_count_extensions_match_brute_force():
     rng = random.Random(11)
     for n in range(6):

@@ -45,7 +45,7 @@ from critsets.graphs import (
     make_path,
     mask_of,
 )
-from critsets.reductions import proof_coloring_olcs, reduce_olcs, reduce_ulcs
+from critsets.reductions import proof_coloring_olcs, proof_coloring_ulcs, reduce_olcs, reduce_ulcs
 from critsets.scan import implication_holds, record_for_graph
 from critsets.sudoku import random_board, random_determining_set, sudoku_graph
 
@@ -112,7 +112,6 @@ def test_drop_check_matches_full_check():
     # as the whole-graph count does
     for n in range(6):
         for g in enumerate_graphs(n):
-            nbrs = g.neighbor_lists
             chi = chromatic_number(g)
             for k in (chi, chi + 1):
                 for tup in canonical_colorings(g, k):
@@ -124,8 +123,39 @@ def test_drop_check_matches_full_check():
                             continue
                         for v in bits(subset):
                             expected = _determines(g, coloring, subset ^ 1 << v)
-                            assert _still_determines(nbrs, coloring, subset, v) == expected, (
+                            assert _still_determines(g, coloring, subset, v) == expected, (
                                 g.adj, tup, subset, v)
+
+
+def test_drop_check_matches_full_check_on_gadgets():
+    # at gadget scale, on the proof coloring and sampled colorings: dropping
+    # each vertex of the full set, of a pruned critical set and of seeded
+    # supersets of it, the region count agrees with the whole-graph check
+    # (both of its branches run: v with every neighbor fixed, and v with a
+    # free region around it)
+    rng = random.Random(17)
+    branches = set()  # (answer, every neighbor of v fixed)
+    for h in (make_path(3), make_complete(3), make_cycle(5)):
+        c3 = Coloring(next(canonical_colorings(h, 3)), 3)
+        for inst in (reduce_ulcs(h), reduce_olcs(h)):
+            g = inst.graph
+            full = (1 << g.n) - 1
+            lifted = (proof_coloring_ulcs if inst.variant == "ulcs" else proof_coloring_olcs)(
+                inst, c3)
+            for coloring in [lifted] + [sample_proper_coloring(g, 3, rng) for _ in range(2)]:
+                order = list(range(g.n))
+                rng.shuffle(order)
+                critical = prune_to_critical(g, coloring, order)
+                subsets = [full, critical] + [critical | rng.getrandbits(g.n) for _ in range(3)]
+                for subset in subsets:
+                    assert _determines(g, coloring, subset)
+                    for v in bits(subset):
+                        expected = _determines(g, coloring, subset ^ 1 << v)
+                        assert _still_determines(g, coloring, subset, v) == expected, (
+                            inst.variant, h.adj, coloring.colors, subset, v)
+                        branches.add((expected, not g.adj[v] & ~subset))
+    # each answer comes from each branch somewhere
+    assert branches == {(a, b) for a in (False, True) for b in (False, True)}
 
 
 def test_class_rounds_match_count_check_near_survivor_sets():

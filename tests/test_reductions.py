@@ -1,3 +1,5 @@
+import io
+import json
 import random
 from math import comb
 
@@ -10,7 +12,7 @@ from critsets.coloring import (
     colorful_vertices,
     sample_proper_coloring,
 )
-from critsets.critical import four_params, is_determining
+from critsets.critical import forced_vertices, four_params, is_determining
 from critsets.errors import InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     bits,
@@ -23,7 +25,6 @@ from critsets.graphs import (
     make_path,
 )
 from critsets.reductions import (
-    forced_vertices,
     proof_coloring_olcs,
     proof_coloring_ulcs,
     reduce_olcs,
@@ -255,6 +256,15 @@ def test_role_map_json():
     assert kinds == {"V1", "V2", "V3"}
     sample = data["roles"][str(inst.vertices_with_kind("V2")[0])]
     assert {"kind", "vertex", "edge", "other_edge", "replica"} <= set(sample)
+
+
+def test_role_map_writer_matches_json_dump():
+    for h in (make_empty(1), make_path(3), make_complete(4), make_cycle(5)):
+        for inst in (reduce_ulcs(h), reduce_olcs(h)):
+            out = io.StringIO()
+            inst.write_role_map(out)
+            assert out.getvalue() == json.dumps(inst.role_map_json(), indent=2), (
+                inst.variant, h.adj)
 
 
 def test_sampled_colorings_on_gadgets_are_proper():
