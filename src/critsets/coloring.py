@@ -23,7 +23,6 @@ from .errors import InvalidParameterError, SizeLimitError
 from .graphs import (
     Graph,
     VertexSet,
-    _orbit_roots,
     _read_only,
     automorphism_generators,
     bits,
@@ -265,7 +264,14 @@ def chromatic_number(g: Graph) -> int:
 def canonical_colorings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Proper colorings into [k] with colors in first-use order by vertex
     index: exactly one representative per palette-permutation orbit,
-    yielded in lexicographic order."""
+    yielded lazily in lexicographic order.
+
+    A depth-first loop over vertices with an explicit stack: vertex v keeps
+    the mask of its untried colors, (1 << min(used + 1, k)) - 1 minus the
+    colors of its lower neighbours, where `used` counts the colors of
+    vertices 0..v-1; it takes them lowest bit first, and steps back to
+    v - 1 when none is left.
+    """
     n = g.n
     if n == 0:
         yield ()
@@ -273,21 +279,36 @@ def canonical_colorings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k == 0:
         return
     lower = [[u for u in nbrs if u < v] for v, nbrs in enumerate(g.neighbor_lists)]
+    opened = [(1 << min(u + 1, k)) - 1 for u in range(k + 1)]  # colors open after u used
     colors = [0] * n
-
-    def rec(v: int, used: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
+    shown = [0] * n  # 1 << colors[v]
+    used = [0] * n  # colors used by the vertices below v
+    untried = [0] * n
+    untried[0] = 1
+    last = n - 1
+    v = 0
+    while v >= 0:
+        m = untried[v]
+        if not m:
+            v -= 1
+            continue
+        b = m & -m
+        untried[v] = m ^ b
+        c = b.bit_length() - 1
+        colors[v] = c
+        if v == last:
             yield tuple(colors)
-            return
+            continue
+        shown[v] = b
+        u = used[v]
+        if c == u:  # c opens a new color
+            u += 1
+        v += 1
+        used[v] = u
         forbid = 0
-        for u in lower[v]:
-            forbid |= 1 << colors[u]
-        for c in range(min(used + 1, k)):
-            if not forbid >> c & 1:
-                colors[v] = c
-                yield from rec(v + 1, max(used, c + 1))
-
-    yield from rec(0, 0)
+        for w in lower[v]:
+            forbid |= shown[w]
+        untried[v] = opened[u] & ~forbid
 
 
 def _orbit_leaders(g: Graph, tuples: list[tuple[int, ...]]) -> list[int]:
@@ -296,21 +317,37 @@ def _orbit_leaders(g: Graph, tuples: list[tuple[int, ...]]) -> list[int]:
 
     A generator s of Aut(g) moves a coloring c to c o s^-1 (vertex s(v)
     takes c(v)); putting that back in first-use palette form names its
-    palette orbit, so each generator permutes the indices of `tuples`.
+    palette orbit.  `tuples` is walked in order: an index not seen yet is
+    a leader, and a depth-first walk under the generators marks its whole
+    orbit seen.
     """
     generators = automorphism_generators(g) if len(tuples) > 1 else []
-    index = {tup: i for i, tup in enumerate(tuples)} if generators else {}
-    moves = []
+    if not generators:
+        return list(range(len(tuples)))
+    inverses = []
     for perm in generators:
         inverse = [0] * g.n
         for v, w in enumerate(perm):
             inverse[w] = v
-        move = []
-        for tup in tuples:
-            relabel: dict[int, int] = {}
-            move.append(index[tuple([relabel.setdefault(tup[v], len(relabel)) for v in inverse])])
-        moves.append(move)
-    return [i for i, r in enumerate(_orbit_roots(len(tuples), moves)) if r == i]
+        inverses.append(inverse)
+    index = {tup: i for i, tup in enumerate(tuples)}
+    seen = bytearray(len(tuples))
+    leaders = []
+    for i, tup in enumerate(tuples):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        leaders.append(i)
+        stack = [tup]
+        while stack:
+            member = stack.pop()
+            for inverse in inverses:
+                relabel: dict[int, int] = {}
+                j = index[tuple([relabel.setdefault(member[v], len(relabel)) for v in inverse])]
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(tuples[j])
+    return leaders
 
 
 def enumerate_optimal_colorings(g: Graph) -> Iterator[Coloring]:

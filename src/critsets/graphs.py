@@ -17,8 +17,16 @@ VertexSet = int
 CANONICAL_CAP = 8
 
 
+# _BYTE_BITS[m]: the set bit positions of m < 256, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def bits(mask: VertexSet) -> list[int]:
-    """Set bit positions of `mask`, ascending."""
+    """Set bit positions of `mask`, ascending, as a fresh list the caller
+    may change.  A mask in [0, 256) is read from `_BYTE_BITS`; any other
+    is walked lowest bit first."""
+    if 0 <= mask < 256:
+        return list(_BYTE_BITS[mask])
     out = []
     while mask:
         b = mask & -mask
@@ -416,7 +424,9 @@ def _leaf_automorphism(g: Graph, first: list[int], leaf: list[VertexSet]):
 
 def _orbit_roots(size: int, maps) -> list[int]:
     """Per element of range(size): the least element of its orbit under the
-    group generated by the permutations `maps` (union-find)."""
+    group generated by the permutations `maps` (union-find).  Serves vertex
+    orbits and neighbourhood masks; coloring orbits are marked by
+    `coloring._orbit_leaders`'s own walk."""
     root = list(range(size))
 
     def find(i: int) -> int:

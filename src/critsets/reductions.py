@@ -33,7 +33,7 @@ from .coloring import (
 )
 from .critical import four_params, is_critical, prune_to_critical
 from .errors import InvalidParameterError, SizeLimitError
-from .graphs import _G6_MAX_LONG, Graph, bits
+from .graphs import _G6_MAX_LONG, Graph
 
 ULCS = "ulcs"
 OLCS = "olcs"
@@ -235,9 +235,11 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
     Full mode computes the exact parameter of G and tests the biconditional
     against 3-colorability of H; "auto" picks it when G has at most
     `MAX_VERTICES` vertices.  Certificate mode checks the direction the
-    construction proves explicitly: forced replicas over monochromatic
-    edges (min-lcs variant, H not 3-colorable), or a certified critical set
-    of size >= k containing all replicas (max-lcs variant, H 3-colorable).
+    construction proves explicitly: on each sample, the forced (not
+    colorful) replicas of a monochromatic edge plus the 2 corners of the
+    triangle component, all held by every determining set, reach k
+    (min-lcs variant, H not 3-colorable), or a certified critical set of
+    size >= k containing all replicas (max-lcs variant, H 3-colorable).
     The sampled checks take `samples` seeded colorings, at least one.
     """
     variant, h, g = instance.variant, instance.source, instance.graph
@@ -262,6 +264,9 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
         for v, (kind, fields) in enumerate(instance.roles):
             if kind == "V2":
                 replicas_by_edge.setdefault(fields[0], []).append(v)
+        triangle = instance.vertices_with_kind("V3")
+        whole = sum(1 << v for v in triangle)
+        corners = 2 if len(triangle) == 3 and all(g.adj[v] | 1 << v == whole for v in triangle) else 0
         ok, detail = True, f"{samples} sampled colorings: monochromatic-edge replicas all forced"
         for _ in range(samples):
             c = sample_proper_coloring(g, 3, rng)
@@ -269,10 +274,11 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
             if mono is None:
                 ok, detail = False, "sampled coloring induced a proper 3-coloring of H"
                 break
-            # forced = not colorful (`forced_vertices`), tested on these replicas only
-            loose = bits(colorful_vertices(g, c, replicas_by_edge[mono]))
-            if loose:
-                ok, detail = False, f"replica {loose[0]} not forced"
+            replicas = replicas_by_edge.get(mono, [])
+            forced = len(replicas) - colorful_vertices(g, c, replicas).bit_count()
+            if forced + corners < instance.k:
+                ok, detail = False, (f"{forced} forced replicas of edge {mono} and {corners} "
+                                     f"triangle corners fall short of k={instance.k}")
                 break
 
     elif variant == OLCS and three_col:

@@ -60,6 +60,13 @@ def brute_force_four_params(g: Graph, k: int | None = None) -> tuple[int, int, i
     return (min(scs_values), max(scs_values), min(lcs_values), max(lcs_values))
 
 
+def is_automorphism(g: Graph, perm) -> bool:
+    """Whether perm (the tuple of vertex images) is an automorphism of g."""
+    return sorted(perm) == list(range(g.n)) and all(
+        g.adj[perm[v]] == sum(1 << perm[w] for w in range(g.n) if row >> w & 1)
+        for v, row in enumerate(g.adj))
+
+
 def star(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i + 1) for i in range(leaves)])
 

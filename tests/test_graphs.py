@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from conftest import is_automorphism
 from critsets.coloring import Coloring, _orbit_leaders, canonical_colorings
 from critsets.critical import ParamQuad
 from critsets.errors import Graph6Error, InvalidParameterError, SizeLimitError
@@ -293,7 +294,7 @@ def test_augmentation_roots_are_orbit_minima():
     for n in range(6):
         for i, g in enumerate(enumerate_graphs(n)):
             for h in (g, _relabelled(g, 100 * n + i)):
-                aut = [p for p in itertools.permutations(range(n)) if _is_automorphism(h, p)]
+                aut = [p for p in itertools.permutations(range(n)) if is_automorphism(h, p)]
                 least = {min(mask_of(p[v] for v in bits(nb)) for p in aut)
                          for nb in range(1 << n)}
                 assert _augmentation_roots(h) == sorted(least), h.adj
@@ -319,11 +320,6 @@ def test_components_and_bipartition():
     assert bipartition(make_cycle(5)) is None
     sub, verts = induced_subgraph(g, comps[1])
     assert sub == make_path(3) and verts == [4, 5, 6]
-
-
-def _is_automorphism(g, perm):
-    return sorted(perm) == list(range(g.n)) and all(
-        g.adj[perm[v]] == sum(1 << perm[w] for w in bits(row)) for v, row in enumerate(g.adj))
 
 
 def _group_order(n, generators):
@@ -364,8 +360,8 @@ def test_automorphism_generators_generate_aut():
         for i, g in enumerate(enumerate_graphs(n)):
             h = _relabelled(g, 1000 * n + i)
             gens = automorphism_generators(h)
-            assert all(_is_automorphism(h, s) for s in gens), h.adj
-            brute = sum(_is_automorphism(h, p) for p in itertools.permutations(range(n)))
+            assert all(is_automorphism(h, s) for s in gens), h.adj
+            brute = sum(is_automorphism(h, p) for p in itertools.permutations(range(n)))
             assert _group_order(n, gens) == brute, h.adj
             if brute == 1:
                 assert gens == []
@@ -378,7 +374,7 @@ def test_automorphism_generators_generate_aut():
         for seed in range(4):
             h = _relabelled(g, seed)
             gens = automorphism_generators(h)
-            assert all(_is_automorphism(h, s) for s in gens), (h.adj, seed)
+            assert all(is_automorphism(h, s) for s in gens), (h.adj, seed)
             assert _group_order(h.n, gens) == order
 
 

@@ -15,6 +15,7 @@ from critsets.coloring import (
 from critsets.critical import forced_vertices, four_params, is_determining
 from critsets.errors import InvalidParameterError, SizeLimitError
 from critsets.graphs import (
+    Graph,
     bits,
     cartesian_product,
     enumerate_graphs,
@@ -25,6 +26,7 @@ from critsets.graphs import (
     make_path,
 )
 from critsets.reductions import (
+    ReductionInstance,
     proof_coloring_olcs,
     proof_coloring_ulcs,
     reduce_olcs,
@@ -218,6 +220,37 @@ def test_verify_certificate_modes():
     assert rep.mode == "certificate" and rep.consistent
     assert (rep.g_vertices, rep.k) == (2091, 2054)
     assert rep.detail.startswith("certified critical set of size 2079 ")
+
+
+def _ulcs_by_hand(h, replicas, triangle=True):
+    """The min-lcs gadget of h with `replicas` replicas per edge and the
+    theorem's k = m + n + 3."""
+    roles = [("V1", (v,)) for v in range(h.n)]
+    edges = []
+    for e in h.edges():
+        for j in range(1, replicas + 1):
+            edges += [(e[0], len(roles)), (e[1], len(roles))]
+            roles.append(("V2", (e, j)))
+    if triangle:
+        t = len(roles)
+        edges += [(t, t + 1), (t, t + 2), (t + 1, t + 2)]
+        roles += [("V3", (j,)) for j in (1, 2, 3)]
+    return ReductionInstance("ulcs", h, Graph.from_edges(len(roles), edges),
+                             h.m + h.n + 3, tuple(roles))
+
+
+def test_ulcs_certificate_counts_forced_replicas_against_k():
+    # H = K4 is not 3-colorable; m + n + 1 = 11 forced replicas of a
+    # monochromatic edge and 2 triangle corners reach k = 13
+    h = make_complete(4)
+    assert _ulcs_by_hand(h, 11) == reduce_ulcs(h)
+    assert verify_instance(_ulcs_by_hand(h, 11), "certificate", samples=5).consistent
+    rep = verify_instance(_ulcs_by_hand(h, 10), "certificate", samples=5)
+    assert not rep.consistent
+    assert rep.detail.startswith("10 forced replicas of edge (")
+    assert rep.detail.endswith(" and 2 triangle corners fall short of k=13")
+    rep = verify_instance(_ulcs_by_hand(h, 11, triangle=False), "certificate", samples=5)
+    assert not rep.consistent and " and 0 triangle corners " in rep.detail
 
 
 def test_verify_caps_h_at_max_vertices():
