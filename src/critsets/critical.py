@@ -17,14 +17,16 @@ difference masks M, Tr(M).  Two routes give their extremes for
   size and on which color cells meet, so one table per process
   (`_MATCHINGS`) serves every call.  `sudoku.mnc_exhaustive` uses it too.
 - The lazy route (`_lazy_extremes`) grows a family F of true difference
-  masks, seeded by c's Kempe chains, adding a minimal mask missed by each
-  minimal transversal of F that does not determine c (the implicit
-  hitting-set scheme of Moreno-Centeno and Karp, on the unavoidable sets
-  of McGuire, Tugemann and Civario).  It stops when every T in Tr(F)
-  determines c, and then Tr(F) = Tr(M): each mask of F contains one of M,
-  so every transversal of M is one of F; and every transversal of F
-  contains some T in Tr(F), which hits all of M.  So values and
-  lexicographically least witnesses are the kernel's.
+  masks, seeded by c's Kempe chains.  A minimal transversal T of F that
+  does not determine c adds to F the difference mask of the extension of
+  c|T other than c that its point check finds, a mask T misses (the
+  implicit hitting-set scheme of Moreno-Centeno and Karp, on the
+  unavoidable sets of McGuire, Tugemann and Civario).  It stops when
+  every T in Tr(F) determines c, and then Tr(F) = Tr(M), though masks of
+  F need not be minimal: each contains one of M, so every transversal of
+  M is one of F; and every transversal of F contains some T in Tr(F),
+  which hits all of M.  So values and lexicographically least witnesses
+  are the kernel's.
 
 The lazy route runs when a component's pairs exceed `LAZY_PAIRS`.  A sweep
 over C5-C13 at k = 3 and 4, `latin:3`, `latin:4`, `sudoku:2` and 60 random
@@ -414,47 +416,27 @@ def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
     return _extremes(_minimal_transversals(masks, n, bound))
 
 
-def _minimal_difference(g: Graph, coloring: Coloring, subset: VertexSet) -> VertexSet:
-    """0 when `subset` determines the coloring c; otherwise a minimal
-    difference mask that `subset` misses.
-
-    The second extension d that the count finds differs from c on a mask D
-    outside `subset`.  D shrinks one vertex v at a time: if c restricted to
-    (V - D) + v has an extension other than c, D becomes that extension's
-    difference, which lies in D - v.  A mask strictly inside the final D
-    would leave out some v of D, and its coloring would have been found
-    when v was tried, so the final D is minimal.
-    """
-    own = [1 << c for c in coloring.colors]
-
-    def other(subset: VertexSet) -> VertexSet:
-        found: list = []
-        if _determines(g, coloring, subset, found):
-            return 0
-        # the count stopped at two extensions, so one of them is not c
-        return max(sum(1 << v for v, (a, b) in enumerate(zip(ext, own)) if a != b)
-                   for ext in found)
-
-    full = (1 << g.n) - 1
-    diff = other(subset)
-    for v in bits(diff):
-        if diff >> v & 1:
-            diff = other(full ^ diff | 1 << v) or diff
-    return diff
-
-
 def _lazy_extremes(g: Graph, coloring: Coloring):
     """`_transversal_extremes` of the minimal difference masks M of
-    `coloring`, from a family F of masks grown lazily.
+    `coloring`, from a family F of difference masks grown lazily.
 
     F starts with the Kempe chains: swapping colors a and b on one
     component of the subgraph on classes a and b gives another proper
     coloring that differs exactly there.  While some minimal transversal
-    of F does not determine the coloring, `_minimal_difference` adds a
-    mask it misses.  Sets already checked stay checked.
+    t of F does not determine the coloring c, the count behind
+    `_determines` stops at two extensions of c restricted to t, and F
+    gains the difference mask of one that is not c: it agrees with c on
+    t, so t misses it.  Sets already checked stay checked.
+
+    No mask of F need be minimal.  Each contains one of M, so every
+    transversal of M is one of F.  Once every T in Tr(F) determines c,
+    each T hits all of M, and so does every transversal of F, which
+    contains some T.  So the two families of transversals are equal,
+    Tr(F) = Tr(M), with the same least witnesses.
     """
     classes = coloring.class_masks
     k = coloring.k
+    own = [1 << c for c in coloring.colors]
     masks = list(dict.fromkeys(
         chain for a in range(k) for b in range(a + 1, k)
         for chain in connected_components(g, classes[a] | classes[b])))
@@ -463,9 +445,11 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
         found = _minimal_transversals(masks, g.n)
         for t in found:
             if t not in checked:
-                missed = _minimal_difference(g, coloring, t)
-                if missed:
-                    masks.append(missed)
+                exts: list = []
+                if not _determines(g, coloring, t, exts):
+                    # the count stopped at two extensions, so one of them is not c
+                    masks.append(max(sum(1 << v for v, (a, b) in enumerate(zip(ext, own)) if a != b)
+                                     for ext in exts))
                     break
                 checked.add(t)
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import permutations
 from math import isqrt
 from typing import NamedTuple
 
@@ -45,19 +46,15 @@ class SudokuStructure(NamedTuple):
     def cell_index(self, row: int, col: int) -> int:
         return row * self.side + col
 
-    def cell_coords(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.side)
-
     def box_index(self, v: int) -> int:
-        row, col = self.cell_coords(v)
-        return (row // self.n) * self.n + col // self.n
+        return _board_slots(self.n)[v][2] - 2 * self.side
 
 
 @lru_cache(maxsize=None)
 def _board_slots(n: int) -> tuple[tuple[int, int, int], ...]:
     """Per cell of an order-n board, its row, column and box slots among
     3n^2 units (rows, then columns, then boxes): the one cell layout, read
-    by `sudoku_graph` and by `_board_search`'s `used` list."""
+    by `sudoku_graph`, `box_index` and `_board_search`'s `used` list."""
     side = n * n
     return tuple((r, side + c, 2 * side + (r // n) * n + c // n)
                  for r, c in (divmod(v, side) for v in range(side * side)))
@@ -100,25 +97,24 @@ def _check_board(structure: SudokuStructure, board: Coloring):
 _MASK_COLORS: dict[int, tuple[int, ...]] = {}
 
 
-def _board_search(n: int, rng: random.Random | None, collect: list | None) -> tuple[int, ...] | None:
-    """Backtracking board fill; collects all boards or returns the first
-    (with rng-shuffled candidate orders when sampling).  Cells are filled
-    in index order from an explicit stack, so no board size meets the
-    recursion limit.
+def _board_search(n: int, rng: random.Random) -> tuple[int, ...] | None:
+    """Backtracking board fill with rng-shuffled candidate orders; the
+    first board found, or None.  Cells are filled in index order from an
+    explicit stack, so no board size meets the recursion limit.
 
     Draw contract: each cell entry lists the free colors in ascending
-    order and, when sampling, shuffles that list with `_shuffle` on
-    `rng.getrandbits`, which makes exactly `rng.shuffle`'s draws; the cell
-    then tries the colors in shuffled order.  The rng is touched nowhere
-    else, so a seed gives the same board, and leaves the rng in the same
-    state, as a search that calls `rng.shuffle` on those lists.
+    order and shuffles that list with `_shuffle` on `rng.getrandbits`,
+    which makes exactly `rng.shuffle`'s draws; the cell then tries the
+    colors in shuffled order.  The rng is touched nowhere else, so a seed
+    gives the same board, and leaves the rng in the same state, as a
+    search that calls `rng.shuffle` on those lists.
     """
     side = n * n
     cells = side * side
     full = (1 << side) - 1
     slots = _board_slots(n)
     memo = _MASK_COLORS
-    getrandbits = None if rng is None else rng.getrandbits
+    getrandbits = rng.getrandbits
     used = [0] * (3 * side)
     colors = [-1] * cells
     untried: list[list[int]] = [[]] * cells  # set on entry; next color last
@@ -132,15 +128,11 @@ def _board_search(n: int, rng: random.Random | None, collect: list | None) -> tu
                 cands = memo[free] = tuple(bits(free))
             cands = list(cands)
             if len(cands) > 1:
-                if getrandbits is not None:
-                    _shuffle(cands, getrandbits)
+                _shuffle(cands, getrandbits)
                 cands.reverse()
             untried[v] = cands
-        elif collect is None:
-            return tuple(colors)
         else:
-            collect.append(tuple(colors))
-            v -= 1
+            return tuple(colors)
         # the deepest entered cell with an untried color takes it;
         # exhausted cells are cleared on the way up
         while v >= 0:
@@ -169,12 +161,15 @@ def _board_search(n: int, rng: random.Random | None, collect: list | None) -> tu
 
 @lru_cache(maxsize=None)
 def all_boards(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every valid board of order n; only enumerable at n <= 2."""
+    """Every valid board of order n, sorted; only enumerable at n <= 2.
+    They are the palette relabellings of the engine's palette-orbit
+    representatives."""
     if n > 2:
         raise SizeLimitError("board enumeration is only feasible for n <= 2")
-    out: list[tuple[int, ...]] = []
-    _board_search(n, None, out)
-    return tuple(out)
+    side = n * n
+    return tuple(sorted({tuple(p[c] for c in colors)
+                         for colors in canonical_colorings(sudoku_graph(n).graph, side)
+                         for p in permutations(range(side))}))
 
 
 def random_board(n: int, rng: random.Random) -> Coloring:
@@ -184,7 +179,7 @@ def random_board(n: int, rng: random.Random) -> Coloring:
     `rng.shuffle` of the ascending free colors per cell entry (see
     `_board_search`), so a board stream from one rng is fixed by its seed.
     """
-    colors = _board_search(n, rng, None)
+    colors = _board_search(n, rng)
     if colors is None:
         raise InternalError("board search failed")
     return Coloring(colors, n * n)
@@ -271,12 +266,12 @@ def check_trial_inputs(n: int, trials: int) -> None:
         raise InvalidParameterError("trial count must be nonnegative")
 
 
-def trial_campaign(n: int, trials: int, seed: int = 0, certify: bool = True) -> TrialStats:
+def trial_campaign(n: int, trials: int, seed: int = 0) -> TrialStats:
     """Run the thinning process across seeded random boards.
 
     Order 2 draws boards from the full enumeration; order 3 samples by
-    randomized backtracking.  Every output is certified determining unless
-    `certify` is disabled; a non-determining output raises InternalError.
+    randomized backtracking.  Every output is certified determining; a
+    non-determining output raises InternalError.
     """
     check_trial_inputs(n, trials)
     structure = sudoku_graph(n)
@@ -290,7 +285,7 @@ def trial_campaign(n: int, trials: int, seed: int = 0, certify: bool = True) -> 
             board = random_board(3, master)
         survivors = random_determining_set(structure, board, seed=master.getrandbits(32))
         # random_determining_set has just checked the board: count unchecked
-        if certify and not _determines(structure.graph, board, survivors):
+        if not _determines(structure.graph, board, survivors):
             raise InternalError("thinning process produced a non-determining set")
         sizes.append(survivors.bit_count())
     if not sizes:

@@ -156,10 +156,10 @@ def test_c06_sudoku_structure():
 
 
 def test_c07_randomized_process_at_order_three():
-    stats = trial_campaign(3, 100, seed=42, certify=True)  # certification inside
+    stats = trial_campaign(3, 100, seed=42)  # certification inside
     assert stats.trials == 100
     assert stats.mean < 81
-    replay = trial_campaign(3, 100, seed=42, certify=False)
+    replay = trial_campaign(3, 100, seed=42)
     assert replay.sizes == stats.sizes
     print(f"ACCEPTANCE C7 PASS: 100 certified trials, mean |S|={stats.mean:.2f} < 81, "
           "seeded replay identical")

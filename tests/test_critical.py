@@ -494,11 +494,13 @@ def test_lazy_route_matches_brute_force_masks():
 
 def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
     # the route is chosen by pair count alone, so each is forced in turn;
-    # sudoku:2 and latin:3 need several lazy rounds, the cycles one
+    # sudoku:2, latin:3 and latin:4 need several lazy rounds (latin:4's
+    # leaders 9 and 57), the cycles one
     latin3 = cartesian_product(make_complete(3), make_complete(3))
+    latin4 = cartesian_product(make_complete(4), make_complete(4))
     rng = random.Random(14)
     for g, k in ((make_cycle(9), 3), (make_cycle(11), 3), (make_cycle(13), 3),
-                 (sudoku_graph(2).graph, 4), (latin3, 3), (make_cycle(7), 4)):
+                 (sudoku_graph(2).graph, 4), (latin3, 3), (latin4, 4), (make_cycle(7), 4)):
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = g.relabel(perm)
