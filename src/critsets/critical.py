@@ -10,12 +10,17 @@ else: the critical sets of c are the minimal transversals of its minimal
 difference masks M, Tr(M).  Two routes give their extremes for
 `scs_lcs_for_coloring` and `four_params`, chosen per component:
 
-- The mask kernel (`_difference_masks`, then the walk in
-  `_transversal_extremes`) lists M by comparing c with every palette-orbit
-  coloring, so its cost is (colorings searched) x (palette orbits) pairs.
-  The maximal color matchings behind the masks depend only on the palette
-  size and on which color cells meet, so one table per process
-  (`_MATCHINGS`) serves every call.  `sudoku.mnc_exhaustive` uses it too.
+- The mask kernel (`_agreements`, then `_lattice_extremes`) compares c
+  with every palette-orbit coloring, so its cost is (colorings searched) x
+  (palette orbits) pairs.  It marks each agreement set {v : c(v) == c'(v)},
+  the complement of a difference mask, in one integer with a bit per
+  subset of V.  n shift steps close that family downward, to the sets that
+  do not determine c; n more keep the minimal members of its complement,
+  the critical sets, and per-size layer masks give scs and lcs.  Above 16
+  vertices the lattice is worked in chunks of 2^16 bits.  The maximal
+  color matchings behind the agreements depend only on the palette size
+  and on which color cells meet, so one table per process (`_MATCHINGS`)
+  serves every call.  `sudoku.mnc_exhaustive` uses the kernel too.
 - The lazy route (`_lazy_extremes`) grows a family F of true difference
   masks, seeded by c's Kempe chains.  A minimal transversal T of F that
   does not determine c adds to F the difference mask of the extension of
@@ -31,10 +36,12 @@ difference masks M, Tr(M).  Two routes give their extremes for
 The lazy route runs when a component's pairs exceed `LAZY_PAIRS`.  A sweep
 over C5-C13 at k = 3 and 4, `latin:3`, `latin:4`, `sudoku:2` and 60 random
 graphs on 8-12 vertices at chi and chi + 1, timing both routes up to 60000
-pairs (2 vCPU, Python 3.11.7), found the kernel faster on some inputs up
-to 2304 pairs (20x on `latin:4`, 48 pairs, where F needs many rounds) and
-the lazy route faster on every input above that (2.6x at 2704 pairs, 5x on
-C11's 7161, 10x at 57600).
+pairs (2 vCPU, Python 3.11.7) when the kernel still walked the minimal
+transversals of its masks (MMCS), found the kernel faster on some inputs
+up to 2304 pairs (20x on `latin:4`, 48 pairs, where F needs many rounds)
+and the lazy route faster on every input above that (2.6x at 2704 pairs,
+5x on C11's 7161, 10x at 57600).  The lattice is faster than that walk,
+and the crossover has not been swept again.
 
 Point checks on one given set go through `_determines` (behind
 `is_determining`, `is_critical` and the fair-puzzle certificate), which
@@ -80,6 +87,7 @@ least set.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -311,18 +319,24 @@ def _maximal_matchings(k: int, occupied: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _difference_masks(
+def _agreements(
     owns: Iterable[tuple[int, ...]], reps: list[tuple[int, ...]], k: int, n: int
-) -> Iterator[list[int]]:
-    """For each coloring c in `owns` (as color tuples), its minimal
-    difference masks against every other proper k-coloring of the graph.
+) -> Iterator[int]:
+    """For each coloring c in `owns` (as color tuples), a 2^n-bit integer
+    with a 1 at the lattice index of agreement sets {v : c(v) == c'(v)} of
+    c with proper k-colorings c' != c: of every maximal one, and of no set
+    that is not one.
+
+    The lattice indexes a vertex set by its n bits reversed (vertex v at
+    bit n-1-v), so that of two sets of one size, the higher index holds
+    the lowest vertex of their symmetric difference.
 
     `reps` holds one coloring per palette orbit.  With own and rep the color
     classes of c and of a representative, the relabelled representative
     agrees with c on the cells own[a] & rep[b] of a matching of colors, so
     the largest agreements come from the maximal matchings of the non-empty
-    cells.  c's own relabellings differ from it on own[a] | own[b] for a
-    swap, or on a superset of such a union.
+    cells.  c's own relabellings agree with it off own[a] | own[b] for a
+    swap, or on a subset of that.
 
     The matchings depend only on k and the occupied cells, so they live in
     the process-wide `_MATCHINGS` table: an atlas scan meets a few thousand
@@ -331,9 +345,9 @@ def _difference_masks(
     """
     full = (1 << n) - 1
     matchings = _MATCHINGS.setdefault(k, {})
-    reps = [_class_masks(rep, k) for rep in reps]
-    for own in (_class_masks(c, k) for c in owns):
-        masks = {own[a] | own[b] for a in range(k) for b in range(a + 1, k)}
+    reps = [_class_masks(rep[::-1], k) for rep in reps]
+    for own in (_class_masks(c[::-1], k) for c in owns):
+        agrees = {full ^ (own[a] | own[b]) for a in range(k) for b in range(a + 1, k)}
         for rep in reps:
             cell = [ca & rb for ca in own for rb in rep]
             occupied = 0
@@ -348,21 +362,89 @@ def _difference_masks(
                 agree = 0
                 for i in matching:
                     agree |= cell[i]
-                masks.add(full ^ agree)
-        masks.discard(0)
-        minimal: list[int] = []
-        for m in sorted(masks, key=int.bit_count):
-            for s in minimal:
-                if not s & ~m:
-                    break
-            else:
-                minimal.append(m)
-        yield minimal
+                agrees.add(agree)
+        agrees.discard(full)  # c itself
+        lattice = 0
+        for agree in agrees:
+            lattice |= 1 << agree
+        yield lattice
 
 
-def _minimal_transversals(masks: list[int], n: int, bound: int | None = None) -> list[int]:
-    """The minimal transversals of `masks` of size at most `bound` (all
-    when None).
+@cache
+def _lattice_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """As 2^n-bit integers, for n <= 16 (about 0.3 MB at 16): per lattice
+    position p, the sets holding p; per size s, the sets of size s."""
+    holds, layers = [], [1]
+    for p in range(n):  # a set skips position p, or holds it at index + 2^p
+        half = 1 << p
+        holds = [h | h << half for h in holds] + [((1 << half) - 1) << half]
+        layers = [a | b << half for a, b in zip(layers + [0], [0] + layers)]
+    return tuple(holds), tuple(layers)
+
+
+def _undetermined(agree: int, n: int) -> int:
+    """The down-closure of the lattice integer `agree` (n <= 16): the sets
+    inside some agreement set, which are the sets that do not determine c."""
+    for p, holding in enumerate(_lattice_tables(n)[0]):
+        agree |= (agree & holding) >> (1 << p)
+    return agree
+
+
+def _critical_sets(undetermined: int, n: int) -> int:
+    """The critical sets, from the down-closure `undetermined` (n <= 16):
+    the minimal members of the determining sets, which lie outside it and
+    form an up-closed family.  Shifting that family by 2^p moves each set S
+    without position p onto S + {p}; kept where p is held, these are the
+    sets that are not minimal because of p."""
+    determining = ((1 << (1 << n)) - 1) ^ undetermined
+    above = 0
+    for p, holding in enumerate(_lattice_tables(n)[0]):
+        above |= (determining << (1 << p)) & holding
+    return determining ^ above
+
+
+def _lattice_extremes(agree: int, n: int, bound: int | None = None):
+    """`_extremes` of the critical sets of size at most `bound` (all when
+    None), from an agreement lattice of `_agreements`, read off the size
+    layers: the highest index in a layer is its lexicographically least
+    set.
+
+    The tables cover 16 positions, so a larger lattice is cut into chunks
+    of 2^16 bits: chunk j holds the sets whose positions from 16 up are
+    the bits of j.  A set lies inside an agreement set iff its low part
+    lies inside the low part of one in a chunk j' that holds all of j, so
+    each chunk is first merged into the chunks of its subsets.  A set is
+    critical iff it is critical within its chunk and dropping any one of
+    its high positions leaves it undetermined.  At 20 vertices two lists
+    of 16 chunks of 8 KB are live, and no 2^20-bit table."""
+    m = min(n, 16)
+    width, upper = 1 << m, range(n - m)  # bit q of j is position m + q
+    chunks = [agree >> j * width & (1 << width) - 1 for j in range(1 << n - m)]
+    for q in upper:
+        for j in range(len(chunks)):
+            if j >> q & 1:
+                chunks[j ^ 1 << q] |= chunks[j]
+    chunks = [_undetermined(chunk, m) for chunk in chunks]
+    layers, top = _lattice_tables(m)[1], n if bound is None else bound
+    highest = {}
+    for j in reversed(range(len(chunks))):
+        critical = _critical_sets(chunks[j], m)
+        for q in upper:
+            if j >> q & 1:
+                critical &= chunks[j ^ 1 << q]
+        held = j.bit_count()
+        for s, layer in enumerate(layers[:max(top + 1 - held, 0)], held):
+            if h := (critical & layer).bit_length():
+                highest.setdefault(s, j * width + h - 1)
+    if not highest:
+        return None
+    low, high = min(highest), max(highest)
+    scs, lcs = (int(f"{highest[s]:0{n}b}"[::-1], 2) for s in (low, high))
+    return low, scs, high, lcs
+
+
+def _minimal_transversals(masks: list[int], n: int) -> list[int]:
+    """The minimal transversals of `masks`.
 
     Murakami-Uno's MMCS walk visits each minimal transversal once: branch
     on the unhit mask with the fewest candidate vertices, forbid the
@@ -380,7 +462,7 @@ def _minimal_transversals(masks: list[int], n: int, bound: int | None = None) ->
         chosen, private, unhit, cand = stack.pop()
         if not unhit:
             found.append(chosen)
-        elif bound is None or len(private) < bound:
+        else:
             for v in bits(min((masks[i] & cand for i in bits(unhit)), key=int.bit_count)):
                 cand ^= 1 << v
                 kept = [p & ~hits[v] for p in private]
@@ -410,15 +492,9 @@ def _extremes(found: list[int]):
     return low, scs, high, lcs
 
 
-def _transversal_extremes(masks: list[int], n: int, bound: int | None = None):
-    """`_extremes` of the minimal transversals of `masks` of size at most
-    `bound` (all when None)."""
-    return _extremes(_minimal_transversals(masks, n, bound))
-
-
 def _lazy_extremes(g: Graph, coloring: Coloring):
-    """`_transversal_extremes` of the minimal difference masks M of
-    `coloring`, from a family F of difference masks grown lazily.
+    """`_extremes` of the minimal transversals of the minimal difference
+    masks M of `coloring`, from a family F of difference masks grown lazily.
 
     F starts with the Kempe chains: swapping colors a and b on one
     component of the subgraph on classes a and b gives another proper
@@ -470,20 +546,29 @@ def _check_point(g: Graph, coloring: Coloring, subset: VertexSet):
 
 
 # most (own, palette-orbit) pairs a component gives the mask kernel; above
-# this the lazy route runs (the crossover measured in the module docstring)
+# this the lazy route runs (the crossover in the module docstring, timed
+# against the kernel's earlier MMCS walk and not re-swept for the lattice)
 LAZY_PAIRS = 2500
 
 
-def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
-    """Per connected component: its vertices, and (colors, scs, scs set,
-    lcs, lcs set) for the earliest palette-orbit representative of each
-    Aut x S_k orbit of its proper k-colorings, or only for the restriction
-    of `coloring` when given.  Colors and sets are in the component's own
-    indices."""
-    for comp in connected_components(g):
+def _components(g: Graph) -> list[VertexSet]:
+    """The connected components of g, each refused past `MAX_VERTICES`
+    before any search starts."""
+    comps = connected_components(g)
+    for comp in comps:
         if (size := comp.bit_count()) > MAX_VERTICES:
             raise SizeLimitError(
                 f"exact search capped at {MAX_VERTICES} vertices per component (got {size})")
+    return comps
+
+
+def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Coloring | None = None):
+    """Per connected component in `comps`: its vertices, and (colors, scs,
+    scs set, lcs, lcs set) for the earliest palette-orbit representative of
+    each Aut x S_k orbit of its proper k-colorings, or only for the
+    restriction of `coloring` when given.  Colors and sets are in the
+    component's own indices."""
+    for comp in comps:
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
         if coloring is None:
@@ -493,8 +578,8 @@ def _component_extremes(g: Graph, k: int, coloring: Coloring | None = None):
         if len(owns) * len(tuples) > LAZY_PAIRS:
             rows = [(tup, *_lazy_extremes(sub, Coloring(tup, k))) for tup in owns]
         else:
-            masks = _difference_masks(owns, tuples, k, sub.n)
-            rows = [(tup, *_transversal_extremes(m, sub.n)) for tup, m in zip(owns, masks)]
+            lattices = _agreements(owns, tuples, k, sub.n)
+            rows = [(tup, *_lattice_extremes(a, sub.n)) for tup, a in zip(owns, lattices)]
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")
         yield verts, rows
@@ -523,7 +608,8 @@ _EXTREMES = (("uscs", min, _SCS), ("oscs", max, _SCS), ("ulcs", min, _LCS), ("ol
 def scs_lcs_for_coloring(g: Graph, coloring: Coloring) -> ScsLcs:
     """Smallest and largest critical-set sizes for one fixed coloring."""
     _check_proper(g, coloring)
-    chosen = [(verts, rows[0]) for verts, rows in _component_extremes(g, coloring.k, coloring)]
+    per_component = _component_extremes(g, coloring.k, _components(g), coloring)
+    chosen = [(verts, rows[0]) for verts, rows in per_component]
     scs, _, scs_set = _lift(g.n, chosen, _SCS)
     lcs, _, lcs_set = _lift(g.n, chosen, _LCS)
     return ScsLcs(scs, lcs, scs_set, lcs_set)
@@ -536,12 +622,13 @@ def four_params(g: Graph, k: int | None = None) -> ParamQuad:
     Above chi, colorings need not use every color, so values can differ
     from the k = chi case and the n-1 upper bound need not apply.
     """
+    comps = _components(g)
     chi = chromatic_number(g)
     if k is None:
         k = chi
     elif k < chi:
         raise InvalidParameterError(f"k={k} below chromatic number {chi}")
-    components = list(_component_extremes(g, k))
+    components = list(_component_extremes(g, k, comps))
     values = []
     witnesses = {}
     for name, pick, i in _EXTREMES:

@@ -22,7 +22,7 @@ from .coloring import (
     canonical_colorings,
     count_colorings_extending,
 )
-from .critical import _determines, _difference_masks, _transversal_extremes, is_determining
+from .critical import _agreements, _determines, _lattice_extremes, is_determining
 from .errors import InternalError, InvalidParameterError, SizeLimitError, UnsupportedError
 from .graphs import Graph, VertexSet, bits
 
@@ -309,9 +309,10 @@ class MncResult(NamedTuple):
 def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     """Exhaustive minimum clue count over all order-2 boards.
 
-    A clue set is fair iff it hits every difference mask of the board
-    against the other 287 boards, so a board's smallest fair puzzle is the
-    minimum transversal of its masks: the mask kernel behind uscs in
+    A clue set is fair iff it lies inside no agreement set of the board
+    with one of the other 287 boards, so a board's smallest fair puzzle is
+    the least set of the smallest size layer outside their down-closure in
+    the 2^16-set lattice: the mask kernel behind uscs in
     `critical.four_params`, bounded by the best clue count so far.  Boards
     in one Aut x S_4 orbit have the same minimum, so with `symmetry` on only
     the earliest palette-orbit representative of each orbit is searched (2
@@ -329,8 +330,8 @@ def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     else:
         candidates = all_boards(2)
     best = None
-    for board, masks in zip(candidates, _difference_masks(candidates, orbit_reps, side, cells)):
-        got = _transversal_extremes(masks, cells, None if best is None else best[0] - 1)
+    for board, agree in zip(candidates, _agreements(candidates, orbit_reps, side, cells)):
+        got = _lattice_extremes(agree, cells, None if best is None else best[0] - 1)
         if got is not None:
             best = (got[0], board, got[1])
     if best is None:

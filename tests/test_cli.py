@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -142,6 +143,26 @@ def test_params_error_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "params", "cycle:25")
     assert code == 2 and "size limit" in err
+
+
+# sha256 of `--format json params` stdout, recorded with Python 3.11.7:
+# every input runs on the lattice kernel, the last four with more than 16
+# vertices, so their lattices are cut into 2^16-bit chunks
+PARAMS_JSON_SHA256 = {
+    "latin:4": "3a0f7e3f3049c227a14bf9ba3f0a2800a9d98047c9cf9a1a883f6f06c72c89e7",
+    "sudoku:2": "0a03e21a129ff25540089ace388cab8da146cdc1a196056ba6e36e0c390bc969",
+    "complete:16": "ba503892c055e09a16a1f25cc8fae5ecd4752b4c7c67111c2feb9071fd355b8c",
+    "complete:17": "4d55c8182bbfe79de85e2cc804adc31c447790ebfab995fb2cdbdc6efba8ca70",
+    "complete:20": "8e248de62bf0d714761d5f9c08d2400e8add72766c68e3f7fe6c891e1bdde48b",
+    "path:20 --k 2": "02cca6a755cdc89b68dded46d2fa10f91325deaf64bc9d0a595f8a135233c668",
+    "cycle:20 --k 2": "97391832d219cd678fec1dbdca72b5682cd567fc72ef549e01385b2b66ff9fb6",
+}
+
+
+def test_params_json_bytes_on_both_routes(capsys):
+    for argv, digest in PARAMS_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, "--format", "json", "params", *argv.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_table_small(capsys):

@@ -17,13 +17,17 @@ from critsets.coloring import (
 )
 from critsets.critical import (
     PARAM_NAMES,
+    _agreements,
     _component_extremes,
+    _critical_sets,
     _determines,
-    _difference_masks,
+    _extremes,
+    _lattice_extremes,
     _lazy_extremes,
     _maximal_matchings,
+    _minimal_transversals,
     _still_determines,
-    _transversal_extremes,
+    _undetermined,
     four_params,
     is_critical,
     is_determining,
@@ -385,10 +389,20 @@ def test_engine_matches_definitions_with_a_spare_color():
             assert four_params(g, k).values() == brute_force_four_params(g, k), g.adj
 
 
+def _lattice_index(subset, n):
+    """The subset lattice's index of a vertex set: its n bits reversed."""
+    return int(f"{subset:0{n}b}"[::-1], 2)
+
+
+def _lattice_sets(lattice, n):
+    """The vertex sets whose lattice index bits are set in `lattice`."""
+    return {_lattice_index(i, n) for i in bits(lattice)}
+
+
 def test_difference_masks_match_determining_point_checks():
-    # a set determines the coloring iff it hits every difference mask; the
-    # masks come from palette-orbit representatives and matchings, the point
-    # check from the propagation counter
+    # a set fails to determine the coloring iff it lies inside an agreement
+    # set; the agreements come from palette-orbit representatives and
+    # matchings, the point check from the propagation counter
     for n in range(6):
         for g in enumerate_graphs(n):
             chi = chromatic_number(g)
@@ -396,10 +410,11 @@ def test_difference_masks_match_determining_point_checks():
                 reps = list(canonical_colorings(g, k))
                 for tup in reps:
                     coloring = Coloring(tup, k)
-                    masks = next(_difference_masks([tup], reps, k, g.n))
+                    agree = next(_agreements([tup], reps, k, g.n))
+                    undetermined = _lattice_sets(_undetermined(agree, g.n), g.n)
                     for subset in range(1 << g.n):
-                        hits_all = all(subset & m for m in masks)
-                        assert hits_all == is_determining(g, coloring, subset), (g.adj, tup, subset)
+                        determining = is_determining(g, coloring, subset)
+                        assert (subset in undetermined) != determining, (g.adj, tup, subset)
 
 
 def _brute_maximal_matchings(k, occupied):
@@ -443,9 +458,19 @@ def _brute_minimal_masks(g, k):
         yield tup, sorted(m for m in diffs if not any(s != m and not s & ~m for s in diffs))
 
 
+def _brute_transversals(masks, n, bound=None):
+    """The minimal transversals of `masks` of size at most `bound` (all
+    when None), by brute force over all vertex subsets."""
+    hitting = {s for s in range(1 << n) if all(s & m for m in masks)}
+    return [s for s in hitting if not any(s ^ 1 << v in hitting for v in bits(s))
+            and (bound is None or s.bit_count() <= bound)]
+
+
 def test_difference_masks_match_definition(monkeypatch):
-    # palettes shrink from an empty matching table, so a cell pattern met
-    # first at a larger k is met again at a smaller one
+    # the lattice's critical sets are the minimal transversals of the
+    # brute-force minimal masks; palettes shrink from an empty matching
+    # table, so a cell pattern met first at a larger k is met again at a
+    # smaller one
     monkeypatch.setattr("critsets.critical._MATCHINGS", {})
     small = [g for n in range(6) for g in enumerate_graphs(n)]
     for k in (4, 3, 2, 1):
@@ -453,17 +478,17 @@ def test_difference_masks_match_definition(monkeypatch):
             if chromatic_number(g) > k:
                 continue
             reps = list(canonical_colorings(g, k))
-            for (tup, minimal), masks in zip(_brute_minimal_masks(g, k),
-                                             _difference_masks(reps, reps, k, g.n)):
-                assert sorted(masks) == minimal, (g.adj, k, tup)
+            for (tup, minimal), agree in zip(_brute_minimal_masks(g, k),
+                                             _agreements(reps, reps, k, g.n)):
+                critical = _lattice_sets(_critical_sets(_undetermined(agree, g.n), g.n), g.n)
+                assert critical == set(_brute_transversals(minimal, g.n)), (g.adj, k, tup)
 
 
-def _old_transversal_witnesses(masks, n):
+def _old_transversal_witnesses(masks, n, bound=None):
     """(scs, scs set, lcs, lcs set) over the minimal transversals of
-    `masks`, listed by brute force over all vertex subsets and picked by
-    the (size, sorted vertex list) key."""
-    hitting = {s for s in range(1 << n) if all(s & m for m in masks)}
-    found = [s for s in hitting if not any(s ^ 1 << v in hitting for v in bits(s))]
+    `masks` of size at most `bound`, listed by brute force over all vertex
+    subsets and picked by the (size, sorted vertex list) key."""
+    found = _brute_transversals(masks, n, bound)
     if not found:
         return None
     scs = min(found, key=lambda m: (m.bit_count(), bits(m)))
@@ -473,10 +498,39 @@ def _old_transversal_witnesses(masks, n):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=7))))
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=7),
+                        st.none() | st.integers(0, n))))
 def test_transversal_witnesses_are_lexicographically_least(case):
-    n, masks = case
-    assert _transversal_extremes(masks, n) == _old_transversal_witnesses(masks, n)
+    # the agreement sets of masks M are their complements, so the lattice
+    # gives the extremes of Tr(M); the lazy route's MMCS walk gives them too
+    n, masks, bound = case
+    expected = _old_transversal_witnesses(masks, n, bound)
+    assert _lattice_extremes(_agreement_lattice(masks, n), n, bound) == expected
+    if bound is None:
+        assert _extremes(_minimal_transversals(masks, n)) == expected
+
+
+def _agreement_lattice(masks, n):
+    """The lattice integer marking the complement of each mask."""
+    agree = 0
+    for m in masks:
+        agree |= 1 << _lattice_index(((1 << n) - 1) ^ m, n)
+    return agree
+
+
+def test_lattice_chunks_match_the_walk_above_16_vertices():
+    # past 16 positions the lattice is cut into 2^16-bit chunks, which the
+    # hypothesis cases above never reach; the MMCS walk is the oracle here
+    rng = random.Random(20)
+    for n in (17, 18, 20):
+        for dense in (True, False) * 4:
+            masks = [(rng.getrandbits(n) if dense else rng.getrandbits(n) & rng.getrandbits(n))
+                     | 1 << rng.randrange(n) for _ in range(rng.randint(1, 7))]
+            found = _minimal_transversals(masks, n)
+            for bound in (None, rng.randint(0, n)):
+                kept = [t for t in found if bound is None or t.bit_count() <= bound]
+                got = _lattice_extremes(_agreement_lattice(masks, n), n, bound)
+                assert got == _extremes(kept), (n, masks, bound)
 
 
 def test_lazy_route_matches_brute_force_masks():
@@ -495,12 +549,15 @@ def test_lazy_route_matches_brute_force_masks():
 def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
     # the route is chosen by pair count alone, so each is forced in turn;
     # sudoku:2, latin:3 and latin:4 need several lazy rounds (latin:4's
-    # leaders 9 and 57), the cycles one
+    # leaders 9 and 57), the cycles one; latin:4 with a pendant vertex has
+    # 17 vertices, so its lattice is cut into two chunks
     latin3 = cartesian_product(make_complete(3), make_complete(3))
     latin4 = cartesian_product(make_complete(4), make_complete(4))
+    pendant = Graph(17, (latin4.adj[0] | 1 << 16, *latin4.adj[1:], 1))
     rng = random.Random(14)
     for g, k in ((make_cycle(9), 3), (make_cycle(11), 3), (make_cycle(13), 3),
-                 (sudoku_graph(2).graph, 4), (latin3, 3), (latin4, 4), (make_cycle(7), 4)):
+                 (sudoku_graph(2).graph, 4), (latin3, 3), (latin4, 4), (make_cycle(7), 4),
+                 (pendant, 4)):
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = g.relabel(perm)
@@ -508,12 +565,14 @@ def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
         rows = []
         for pairs in (-1, 10**9):
             monkeypatch.setattr("critsets.critical.LAZY_PAIRS", pairs)
-            rows.append((list(_component_extremes(g, k)), list(_component_extremes(g, k, one))))
+            comps = connected_components(g)
+            rows.append((list(_component_extremes(g, k, comps)),
+                         list(_component_extremes(g, k, comps, one))))
         assert rows[0] == rows[1], (g.n, k)
 
 
 def _unpruned_four_params(g, k):
-    """{name: (value, coloring, set)} by the mask kernel on every
+    """{name: (value, coloring, set)} by the lattice kernel on every
     palette-orbit coloring of each component, with no orbit pruning: per
     component the first coloring attaining each extreme, with its least
     set, lifted to g."""
@@ -521,8 +580,8 @@ def _unpruned_four_params(g, k):
     for comp in connected_components(g):
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
-        rows = [(tup, *_transversal_extremes(masks, sub.n))
-                for tup, masks in zip(tuples, _difference_masks(tuples, tuples, k, sub.n))]
+        rows = [(tup, *_lattice_extremes(agree, sub.n))
+                for tup, agree in zip(tuples, _agreements(tuples, tuples, k, sub.n))]
         components.append((verts, rows))
     out = {}
     for name, pick, i in zip(PARAM_NAMES, (min, max, min, max), (1, 1, 3, 3)):
@@ -629,3 +688,15 @@ def test_size_limit_and_override():
     for _ in range(4):
         five_c5 = disjoint_union(five_c5, make_cycle(5))
     assert four_params(five_c5).values() == (15, 15, 20, 20)
+
+
+def test_over_cap_component_is_refused_before_chi(monkeypatch):
+    # the cap is checked on every component before chromatic_number runs, so
+    # an input such as latin:100 is refused on its size, not after greedy
+    # passes over 10000 vertices
+    def no_chi(g):
+        raise AssertionError("chromatic_number ran on an over-cap input")
+
+    monkeypatch.setattr("critsets.critical.chromatic_number", no_chi)
+    with pytest.raises(SizeLimitError, match=r"20 vertices per component \(got 21\)"):
+        four_params(make_complete(21))
