@@ -426,6 +426,9 @@ def _lattice_extremes(agree: int, n: int, bound: int | None = None):
                 chunks[j ^ 1 << q] |= chunks[j]
     chunks = [_undetermined(chunk, m) for chunk in chunks]
     layers, top = _lattice_tables(m)[1], n if bound is None else bound
+    if bound is not None and all(layer & chunk == layer for j, chunk in enumerate(chunks)
+                                 for layer in layers[:max(top + 1 - j.bit_count(), 0)]):
+        return None  # no determining set, so no critical set, that small
     highest = {}
     for j in reversed(range(len(chunks))):
         critical = _critical_sets(chunks[j], m)

@@ -12,8 +12,8 @@ emit (G, k) plus per-vertex role labels:
   H, joined across each edge; V2 holds 2m+2 degree-1 replicas per
   unordered pair of distinct edges at a common vertex, each hanging off
   the pair's first incidence vertex; V3 is a disjoint triangle;
-  k = (2m+2) * sum_v C(deg v, 2) + 2.  The threshold is reached iff H is
-  3-colorable.
+  k = (2m+2) * sum_v C(deg v, 2) + 2.  The threshold is reached if H is
+  3-colorable (the converse fails: see `reduce_olcs`).
 """
 
 from __future__ import annotations
@@ -137,7 +137,12 @@ def reduce_ulcs(h: Graph) -> ReductionInstance:
 
 
 def reduce_olcs(h: Graph) -> ReductionInstance:
-    """Instance whose max-lcs reaches k iff h is 3-colorable."""
+    """Instance whose max-lcs is claimed to reach k iff h is 3-colorable.
+
+    Erratum: as built the converse fails.  Replicas have one neighbor, so
+    they and 2 triangle corners lie in every determining set, and every
+    critical set has at least |V2| + 2 = k vertices whatever h is (on K4,
+    pruned samples give certified critical sets of 174 >= k = 170)."""
     m = h.m
     replicas = 2 * m + 2
     incident = [sorted((min(u, w), max(u, w)) for w in ws) for u, ws in enumerate(h.neighbor_lists)]
@@ -240,7 +245,9 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
     triangle component, all held by every determining set, reach k
     (min-lcs variant, H not 3-colorable), or a certified critical set of
     size >= k containing all replicas (max-lcs variant, H 3-colorable).
-    The sampled checks take `samples` seeded colorings, at least one.
+    With H not 3-colorable, a max-lcs sample pruned to a certified
+    critical set of size >= k fails the check.  The sampled checks take
+    `samples` seeded colorings, at least one.
     """
     variant, h, g = instance.variant, instance.source, instance.graph
     three_col = check_verify_inputs(h, samples)
@@ -305,17 +312,14 @@ def verify_instance(instance: ReductionInstance, mode: str = "auto", samples: in
                   "direction is universal and only verified exactly in full mode)")
 
     else:
-        # OLCS with H not 3-colorable: sampled colorings must split some
-        # incidence group, which is what caps critical sets below k.
-        groups: list[list[int]] = [[] for _ in range(h.n)]
-        for i, (kind, fields) in enumerate(instance.roles):
-            if kind == "V1":
-                groups[fields[0]].append(i)
-        ok, detail = True, f"{samples} sampled colorings all split some incidence pair"
+        # OLCS with H not 3-colorable: every critical set should stay below k
+        ok, detail = True, f"{samples} sampled colorings pruned to critical sets below k={instance.k}"
         for _ in range(samples):
             c = sample_proper_coloring(g, 3, rng)
-            if not any(len({c.colors[i] for i in group}) > 1 for group in groups):
-                ok, detail = False, "a sampled coloring left every incidence group monochromatic"
+            subset = prune_to_critical(g, c, range(g.n))
+            if subset.bit_count() >= instance.k and is_critical(g, c, subset).minimal:
+                ok, detail = False, (f"certified critical set of size {subset.bit_count()} >= "
+                                     f"k={instance.k} although H is not 3-colorable")
                 break
 
     return ReductionReport(variant, h.n, h.m, g.n, g.m, instance.k, three_col, mode, value,

@@ -54,7 +54,8 @@ class SudokuStructure(NamedTuple):
 def _board_slots(n: int) -> tuple[tuple[int, int, int], ...]:
     """Per cell of an order-n board, its row, column and box slots among
     3n^2 units (rows, then columns, then boxes): the one cell layout, read
-    by `sudoku_graph`, `box_index` and `_board_search`'s `used` list."""
+    by `sudoku_graph`, `box_index`, `_board_search`'s `used` list and the
+    thinning's `present` list."""
     side = n * n
     return tuple((r, side + c, 2 * side + (r // n) * n + c // n)
                  for r, c in (divmod(v, side) for v in range(side * side)))
@@ -93,8 +94,17 @@ def _check_board(structure: SudokuStructure, board: Coloring):
         raise InvalidParameterError("board violates a row/column/box constraint")
 
 
-# free-color mask -> its colors in ascending order, shared by all searches
-_MASK_COLORS: dict[int, tuple[int, ...]] = {}
+@lru_cache(maxsize=None)
+def _mirrored_steps(length: int) -> tuple[tuple[int, int, int], ...]:
+    """`_shuffle`'s steps on `length` items, (~i, bound i + 1, bits per
+    draw) per swap of x[i] with a drawn x[j], j <= i: with i counted from
+    the end as ~i (and j as ~j), the same swaps on a list kept in reverse."""
+    return tuple((~i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
+
+
+# free-color mask with two or more colors -> (its colors in descending
+# order, their mirrored steps), shared by all searches
+_MASK_COLORS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]] = {}
 
 
 def _board_search(n: int, rng: random.Random) -> tuple[int, ...] | None:
@@ -102,12 +112,19 @@ def _board_search(n: int, rng: random.Random) -> tuple[int, ...] | None:
     first board found, or None.  Cells are filled in index order from an
     explicit stack, so no board size meets the recursion limit.
 
-    Draw contract: each cell entry lists the free colors in ascending
-    order and shuffles that list with `_shuffle` on `rng.getrandbits`,
-    which makes exactly `rng.shuffle`'s draws; the cell then tries the
-    colors in shuffled order.  The rng is touched nowhere else, so a seed
-    gives the same board, and leaves the rng in the same state, as a
-    search that calls `rng.shuffle` on those lists.
+    Draw contract: a cell entered with two or more free colors orders
+    them as `rng.shuffle` orders their ascending list, with the same
+    `rng.getrandbits` draws, and tries them in that order.  A cell with one
+    free color takes it and one with none steps back at once; neither
+    draws, as shuffling a list of one or none draws nothing.  The rng is
+    touched nowhere else, so a seed gives the same board, and leaves the
+    rng in the same state, as a search that calls `rng.shuffle` on every
+    cell's ascending free colors.
+
+    The shuffle runs on the colors in descending order with the mirrored
+    steps, which leaves the shuffled list reversed, so popping from its
+    end gives the shuffled order.  Only a cell with colors left holds a
+    list in `untried`; the lists of cells past the current one are empty.
     """
     side = n * n
     cells = side * side
@@ -116,33 +133,48 @@ def _board_search(n: int, rng: random.Random) -> tuple[int, ...] | None:
     memo = _MASK_COLORS
     getrandbits = rng.getrandbits
     used = [0] * (3 * side)
-    colors = [-1] * cells
-    untried: list[list[int]] = [[]] * cells  # set on entry; next color last
+    colors = [0] * cells
+    untried: list[list[int]] = [[]] * cells  # next color last
     v = 0
     while True:
-        if v < cells:
+        while v < cells:
             r, c, b = slots[v]
             free = full & ~(used[r] | used[c] | used[b])
-            cands = memo.get(free)
-            if cands is None:
-                cands = memo[free] = tuple(bits(free))
-            cands = list(cands)
-            if len(cands) > 1:
-                _shuffle(cands, getrandbits)
-                cands.reverse()
-            untried[v] = cands
+            if free & (free - 1):
+                entry = memo.get(free)
+                if entry is None:
+                    cands = bits(free)[::-1]
+                    entry = memo[free] = (tuple(cands), _mirrored_steps(len(cands)))
+                cands = list(entry[0])
+                for i, m, nbits in entry[1]:
+                    j = getrandbits(nbits)
+                    while j >= m:
+                        j = getrandbits(nbits)
+                    j = ~j
+                    cands[i], cands[j] = cands[j], cands[i]
+                col = cands.pop()
+                untried[v] = cands
+            elif free:
+                col = free.bit_length() - 1
+            else:
+                break  # a dead end: step back
+            bit = 1 << col
+            used[r] |= bit
+            used[c] |= bit
+            used[b] |= bit
+            colors[v] = col
+            v += 1
         else:
             return tuple(colors)
-        # the deepest entered cell with an untried color takes it;
+        # the deepest filled cell with an untried color takes it;
         # exhausted cells are cleared on the way up
+        v -= 1
         while v >= 0:
             r, c, b = slots[v]
-            col = colors[v]
-            if col >= 0:
-                bit = 1 << col
-                used[r] ^= bit
-                used[c] ^= bit
-                used[b] ^= bit
+            bit = 1 << colors[v]
+            used[r] ^= bit
+            used[c] ^= bit
+            used[b] ^= bit
             cands = untried[v]
             if cands:
                 col = cands.pop()
@@ -153,7 +185,6 @@ def _board_search(n: int, rng: random.Random) -> tuple[int, ...] | None:
                 colors[v] = col
                 v += 1
                 break
-            colors[v] = -1
             v -= 1
         else:
             return None
@@ -177,7 +208,9 @@ def random_board(n: int, rng: random.Random) -> Coloring:
 
     The rng's only use is `rng.getrandbits`, with exactly the draws of one
     `rng.shuffle` of the ascending free colors per cell entry (see
-    `_board_search`), so a board stream from one rng is fixed by its seed.
+    `_board_search`): a cell with one free color or none draws nothing,
+    and the others pop their mirrored shuffle in `rng.shuffle`'s order.
+    So a board stream from one rng is fixed by its seed.
     """
     colors = _board_search(n, rng)
     if colors is None:
@@ -198,23 +231,30 @@ def random_determining_set(
     i.i.d. continuous birth times).  A cell is dropped when, for every
     color other than its own, some still-surviving neighbor carries that
     color; the survivors form a determining set for the board.
+
+    The rule runs on one color mask per unit (the units of `_board_slots`)
+    holding the colors of its surviving cells.  On a proper board each
+    unit holds each color once, so the neighbors of v with color c are the
+    c-cells of v's row, column and box: v drops iff the masks of its three
+    units cover the palette (v's own color is there, as v survives until
+    its turn), and dropping it clears its color in those units.
     """
     _check_board(structure, board)
     side = structure.side
     colors = board.colors
-    adj = structure.graph.adj
-    class_mask = board.class_masks  # built by _check_board's properness scan
+    slots = _board_slots(structure.n)
+    full = (1 << side) - 1
+    present = [full] * (3 * side)  # per unit: colors of its surviving cells
     order = list(range(structure.cells))
     _shuffle(order, random.Random(seed).getrandbits)
-    # per color: the class masks of the other colors
-    others = [class_mask[:own] + class_mask[own + 1:] for own in range(side)]
     survivors = (1 << structure.cells) - 1
     for v in order:
-        row = adj[v] & survivors
-        for mask in others[colors[v]]:
-            if not row & mask:
-                break
-        else:
+        r, c, b = slots[v]
+        if present[r] | present[c] | present[b] == full:
+            own = 1 << colors[v]
+            present[r] ^= own
+            present[c] ^= own
+            present[b] ^= own
             survivors ^= 1 << v
     return survivors
 
@@ -313,7 +353,10 @@ def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     with one of the other 287 boards, so a board's smallest fair puzzle is
     the least set of the smallest size layer outside their down-closure in
     the 2^16-set lattice: the mask kernel behind uscs in
-    `critical.four_params`, bounded by the best clue count so far.  Boards
+    `critical.four_params`, bounded by the best clue count so far.  A board
+    whose down-closure holds every set within that bound has no fair puzzle
+    that small, and `_lattice_extremes` returns before it forms any critical
+    set: without symmetry, 287 of the 288 boards end there.  Boards
     in one Aut x S_4 orbit have the same minimum, so with `symmetry` on only
     the earliest palette-orbit representative of each orbit is searched (2
     boards, chosen as in `four_params`); with it off, all 288 boards are.

@@ -206,8 +206,12 @@ def test_verify_certificate_modes():
     rep = verify_reduction_small(make_complete(3), "ulcs", mode="certificate")
     assert rep.consistent and rep.h_three_colorable
 
+    # erratum: the max-lcs gadget of K4 has critical sets of 174 >= k = 170
+    # vertices although K4 is not 3-colorable, and the certificate says so
     rep = verify_reduction_small(make_complete(4), "olcs", mode="certificate", samples=5, seed=2)
-    assert rep.consistent and not rep.h_three_colorable
+    assert not rep.consistent and not rep.h_three_colorable
+    assert rep.detail == ("certified critical set of size 174 >= k=170 "
+                          "although H is not 3-colorable")
 
     # G has 1047 vertices, more than the interpreter's recursion limit, so
     # sampling a coloring must not recurse once per vertex

@@ -4,8 +4,14 @@ import sys
 
 import pytest
 
-from critsets.coloring import Coloring, count_colorings_extending
-from critsets.critical import four_params, is_determining
+from critsets.coloring import Coloring, canonical_colorings, count_colorings_extending
+from critsets.critical import (
+    _agreements,
+    _critical_sets,
+    _lattice_extremes,
+    four_params,
+    is_determining,
+)
 from critsets.errors import InvalidParameterError, SizeLimitError, UnsupportedError
 from critsets.graphs import (
     bits,
@@ -16,6 +22,7 @@ from critsets.graphs import (
     strong_product,
 )
 from critsets.sudoku import (
+    _mirrored_steps,
     all_boards,
     canonical_board,
     certify_fair_puzzle,
@@ -138,10 +145,18 @@ def _board_search_recursive(n, rng, collect):
 
 
 def test_board_search_matches_recursive_reference():
+    # same boards, and the rng left in the same state: forced cells and
+    # dead ends draw nothing, as rng.shuffle on one or no color draws nothing
     for n in (1, 2, 3):
         for seed in range(40):
-            expected = _board_search_recursive(n, random.Random(seed), None)
-            assert random_board(n, random.Random(seed)).colors == expected, (n, seed)
+            theirs, ours = random.Random(seed), random.Random(seed)
+            expected = _board_search_recursive(n, theirs, None)
+            assert random_board(n, ours).colors == expected, (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
+    theirs, ours = random.Random(7), random.Random(7)
+    for i in range(200):
+        assert random_board(3, ours).colors == _board_search_recursive(3, theirs, None), i
+    assert ours.getstate() == theirs.getstate()
     # pinned: the row-major board, 1-based
     board = random_board(3, random.Random(0))
     assert "".join(str(c + 1) for c in board.colors) == (
@@ -155,6 +170,25 @@ def test_board_search_matches_recursive_reference():
     for seed in range(100):
         h.update(bytes(random_board(3, random.Random(seed)).colors))
     assert h.hexdigest() == "08624fccf086189199f1cf181556506f2bdfc2bef51f191c8a6d385fd89bfed2"
+
+
+def test_mirrored_steps_make_random_shuffle_draws():
+    # run on the reversed list, the mirrored steps leave rng.shuffle's
+    # order reversed, after the same draws
+    for length in range(13):
+        steps = _mirrored_steps(length)
+        assert [~i for i, _, _ in steps] == list(range(length - 1, 0, -1))
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            x = list(range(length))[::-1]
+            for i, bound, nbits in steps:
+                j = ours.getrandbits(nbits)
+                while j >= bound:
+                    j = ours.getrandbits(nbits)
+                x[i], x[~j] = x[~j], x[i]
+            y = list(range(length))
+            theirs.shuffle(y)
+            assert x[::-1] == y and ours.getstate() == theirs.getstate(), (length, seed)
 
 
 def test_random_board_needs_no_recursion_depth():
@@ -173,6 +207,35 @@ def test_random_board_needs_no_recursion_depth():
         sys.setrecursionlimit(old)
     assert board.colors == _board_search_recursive(3, random.Random(5), None)
     assert board.is_proper(sudoku_graph(3).graph)
+
+
+def _thinning_by_class_masks(s, board, seed):
+    """Reference thinning: cell v drops when, for each other color, its
+    surviving neighbors meet that color's class."""
+    classes = board.class_masks
+    order = list(range(s.cells))
+    random.Random(seed).shuffle(order)
+    survivors = (1 << s.cells) - 1
+    for v in order:
+        row = s.graph.adj[v] & survivors
+        if all(row & mask for c, mask in enumerate(classes) if c != board.colors[v]):
+            survivors ^= 1 << v
+    return survivors
+
+
+def test_thinning_matches_class_mask_reference():
+    # the per-unit color masks give the neighbour-color rule's survivors
+    s = sudoku_graph(2)
+    for i, colors in enumerate(all_boards(2)):
+        board = Coloring(colors, 4)
+        assert random_determining_set(s, board, seed=i) == _thinning_by_class_masks(s, board, i)
+    for n in (1, 3):
+        s = sudoku_graph(n)
+        for seed in range(100):
+            board = random_board(n, random.Random(seed))
+            for order_seed in (seed, seed + 1000):
+                got = random_determining_set(s, board, seed=order_seed)
+                assert got == _thinning_by_class_masks(s, board, order_seed), (n, seed)
 
 
 def test_random_determining_set_order_one():
@@ -260,6 +323,35 @@ def test_mnc_exhaustive():
     assert certify_fair_puzzle(s, board, clues)
     with pytest.raises(UnsupportedError):
         mnc_exhaustive(3)
+
+
+def test_lattice_bound_below_scs_skips_the_critical_sets(monkeypatch):
+    # every board's smallest fair puzzle has 4 clues: below that bound no
+    # set is determining, which the down-closure shows before any critical
+    # set is formed; at 4 the unbounded answer's scs is found
+    formed = []
+
+    def counted(undetermined, n):
+        formed.append(n)
+        return _critical_sets(undetermined, n)
+
+    monkeypatch.setattr("critsets.critical._critical_sets", counted)
+    s = sudoku_graph(2)
+    boards = all_boards(2)
+    reps = list(canonical_colorings(s.graph, 4))
+    for board, agree in zip(boards[::29], _agreements(boards[::29], reps, 4, 16)):
+        free = _lattice_extremes(agree, 16)
+        assert free[0] == 4
+        del formed[:]
+        for bound in range(4):
+            assert _lattice_extremes(agree, 16, bound) is None, (board, bound)
+        assert formed == []
+        assert _lattice_extremes(agree, 16, 4) == (4, free[1], 4, free[1])
+        assert formed == [16]
+    # so the exhaustive minimum forms critical sets on its first board only
+    del formed[:]
+    assert mnc_exhaustive(2, symmetry=False).min_clues == 4
+    assert formed == [16]
 
 
 def test_mnc_agrees_with_generic_engine():
