@@ -6,12 +6,13 @@ the generator mini-language cycle:N, complete:N, path:N, empty:N,
 sudoku:N, latin:N.
 
 Exit codes: 0 success, 1 input error (undecodable input text too),
-2 size limit, 3 invariant breach or any other exception; every failure
-prints one line on stderr.
+2 size limit (memory running out too), 3 invariant breach or any other
+exception; every failure prints one line on stderr.
 
 No option moves a size limit: each exact search refuses what it would
-walk above `coloring.MAX_VERTICES` vertices (see there), and `reduce`
-refuses a gadget graph6 cannot write before building it.
+walk above `coloring.MAX_VERTICES` vertices (see there), `params` refuses
+a named source that is one component over that cap before building it,
+and `reduce` refuses a gadget graph6 cannot write before building it.
 
 Start-up loads graphs, coloring, critical and errors, which every
 subcommand runs.  The rest is imported by the code that runs it: scan by
@@ -31,7 +32,7 @@ import sys
 
 from . import graphs
 from .coloring import Coloring, chromatic_number
-from .critical import CHECKS, PARAM_NAMES, ParamQuad, four_params
+from .critical import CHECKS, PARAM_NAMES, ParamQuad, check_component_order, four_params
 from .errors import (
     CritsetsError,
     Graph6Error,
@@ -59,7 +60,16 @@ GENERATORS = {
 }
 
 
-def load_graph_source(src: str) -> Graph:
+# named sources that are one connected component, with their order as a
+# power of N (for N >= 1)
+_CONNECTED_POWER = {"cycle": 1, "path": 1, "complete": 1, "latin": 2}
+
+
+def load_graph_source(src: str, exact: bool = False) -> Graph:
+    """The graph a source names.  With `exact` (`params`), a named source
+    that is one component over the exact search's cap is refused from N
+    alone: building it would take Theta(N^2) bits first.  `reduce` keeps
+    its own caps, since its H may be larger."""
     if ":" in src:
         name, _, arg = src.partition(":")
         if name in GENERATORS:
@@ -67,6 +77,8 @@ def load_graph_source(src: str) -> Graph:
                 n = int(arg)
             except ValueError:
                 raise InvalidParameterError(f"bad generator argument in {src!r}") from None
+            if exact and n > 0 and name in _CONNECTED_POWER:
+                check_component_order(n ** _CONNECTED_POWER[name])
             return GENERATORS[name](n)
     if os.path.exists(src):
         with open(src) as fh:
@@ -96,7 +108,7 @@ def _quad_json(quad: ParamQuad) -> dict:
 
 
 def cmd_params(args) -> int:
-    g = load_graph_source(args.source)
+    g = load_graph_source(args.source, exact=True)
     quad = four_params(g, args.k)
     k = quad.witnesses["uscs"][0].k  # the palette four_params colored with
     chi = k if args.k is None else chromatic_number(g)
@@ -377,6 +389,9 @@ def main(argv=None) -> int:
         return 1
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("size limit: out of memory", file=sys.stderr)
         return 2
     except CritsetsError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)

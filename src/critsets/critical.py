@@ -79,10 +79,15 @@ critical sets of c o s^-1 of the same sizes, so a whole orbit shares scs
 and lcs.  Either route runs on the earliest member of each orbit in
 `canonical_colorings` order (`coloring._orbit_leaders`, on the generators
 from `graphs.automorphism_generators`); the kernel still compares it with
-every palette-orbit representative.  The witnesses do not move: `min` and
-`max` keep the first coloring that attains an extreme, and that coloring
-is the earliest of its orbit, so it is among those searched, with its own
-least set.
+every palette-orbit representative.  That search pays only where orbits
+are large or many: a component whose T palette orbits and n vertices give
+T x 2^n <= `LATTICE_BUDGET` skips it and runs the kernel on all T
+colorings, each unordered pair of them worked once (`_agreements`).  On
+the <= 7 atlas that is 1480 of 1610 components; every component above 10
+vertices, and `sudoku:2`, keeps the search.  The witnesses do not move:
+`min` and `max` keep the first coloring that attains an extreme, and that
+coloring is the earliest of its orbit, so it is among those searched,
+with its own least set, on either side of the budget.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .coloring import (
     MAX_VERTICES,
@@ -320,7 +325,7 @@ def _maximal_matchings(k: int, occupied: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _agreements(
-    owns: Iterable[tuple[int, ...]], reps: list[tuple[int, ...]], k: int, n: int
+    owns: Sequence[tuple[int, ...]], reps: Sequence[tuple[int, ...]], k: int, n: int
 ) -> Iterator[int]:
     """For each coloring c in `owns` (as color tuples), a 2^n-bit integer
     with a 1 at the lattice index of agreement sets {v : c(v) == c'(v)} of
@@ -338,6 +343,15 @@ def _agreements(
     cells.  c's own relabellings agree with it off own[a] | own[b] for a
     swap, or on a subset of that.
 
+    Agreement is symmetric: {v : c(v) == p(c'(v))} is the same set seen
+    from c' under the inverse of p, and the cells of (c', c) are those of
+    (c, c') transposed, with the same maximal matchings.  So a pair of two
+    owners that are both in `reps` is worked once, by the earlier owner,
+    and its sets go to both; the pair of an owner with itself holds only
+    the identity matching, the all-agree set, and is skipped.  An owner
+    outside `reps` (every board of `mnc_exhaustive` without symmetry)
+    keeps one-sided pairs.  Owners' sets wait in memory until their turn.
+
     The matchings depend only on k and the occupied cells, so they live in
     the process-wide `_MATCHINGS` table: an atlas scan meets a few thousand
     patterns across tens of thousands of own x rep pairs, and their
@@ -345,24 +359,39 @@ def _agreements(
     """
     full = (1 << n) - 1
     matchings = _MATCHINGS.setdefault(k, {})
+    slot = {rep: j for j, rep in enumerate(reps)}
+    places = [slot.get(c) for c in owns]  # each owner's index in reps, if there
+    alone = [-1] * len(reps)
+    owner = alone[:]  # per rep: the owner that is it, if any
+    for i, j in enumerate(places):
+        if j is not None:
+            owner[j] = i
     reps = [_class_masks(rep[::-1], k) for rep in reps]
-    for own in (_class_masks(c[::-1], k) for c in owns):
-        agrees = {full ^ (own[a] | own[b]) for a in range(k) for b in range(a + 1, k)}
-        for rep in reps:
+    pending = [set() for _ in places]  # sets that earlier owners' pairs found
+    for i, (c, j) in enumerate(zip(owns, places)):
+        own = _class_masks(c[::-1], k) if j is None else reps[j]
+        agrees = pending[i]
+        pending[i] = None  # else every owner's sets stay alive to the end
+        agrees.update(full ^ (own[a] | own[b]) for a in range(k) for b in range(a + 1, k))
+        for rep, other in zip(reps, alone if j is None else owner):
+            if 0 <= other <= i:
+                continue  # worked by owner `other`, or the pair of c with itself
+            theirs = agrees if other < 0 else pending[other]
             cell = [ca & rb for ca in own for rb in rep]
             occupied = 0
-            for i, m in enumerate(cell):
+            for e, m in enumerate(cell):
                 if m:
-                    occupied |= 1 << i
+                    occupied |= 1 << e
             found = matchings.get(occupied)
             if found is None:
                 found = matchings[occupied] = tuple(
                     _INTERNED.setdefault(m, m) for m in _maximal_matchings(k, occupied))
             for matching in found:
                 agree = 0
-                for i in matching:
-                    agree |= cell[i]
+                for e in matching:
+                    agree |= cell[e]
                 agrees.add(agree)
+                theirs.add(agree)
         agrees.discard(full)  # c itself
         lattice = 0
         for agree in agrees:
@@ -552,6 +581,20 @@ def _check_point(g: Graph, coloring: Coloring, subset: VertexSet):
 # this the lazy route runs (the crossover in the module docstring, timed
 # against the kernel's earlier MMCS walk and not re-swept for the lattice)
 LAZY_PAIRS = 2500
+# most palette orbits x lattice positions (T x 2^n) of a component that
+# skips the orbit search and owns all T colorings, pairs shared.  A sweep
+# over the 1610 components of the <= 7 atlas at chi (`_component_extremes`
+# in process, best of 20, three rounds, 2 vCPU, Python 3.11.7) read
+# 0.24-0.28 s at 0 (always search), 0.23-0.27 at 320, 0.22-0.24 at 640,
+# 0.20-0.23 at 1280, 0.23-0.25 at 2560 and 5120, 0.22-0.26 with no limit
+LATTICE_BUDGET = 1280
+
+
+def check_component_order(size: int):
+    """Refuse a connected component of `size` vertices past `MAX_VERTICES`."""
+    if size > MAX_VERTICES:
+        raise SizeLimitError(
+            f"exact search capped at {MAX_VERTICES} vertices per component (got {size})")
 
 
 def _components(g: Graph) -> list[VertexSet]:
@@ -559,9 +602,7 @@ def _components(g: Graph) -> list[VertexSet]:
     before any search starts."""
     comps = connected_components(g)
     for comp in comps:
-        if (size := comp.bit_count()) > MAX_VERTICES:
-            raise SizeLimitError(
-                f"exact search capped at {MAX_VERTICES} vertices per component (got {size})")
+        check_component_order(comp.bit_count())
     return comps
 
 
@@ -570,14 +611,21 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
     scs set, lcs, lcs set) for the earliest palette-orbit representative of
     each Aut x S_k orbit of its proper k-colorings, or only for the
     restriction of `coloring` when given.  Colors and sets are in the
-    component's own indices."""
+    component's own indices.
+
+    A component within `LATTICE_BUDGET` gets a row for every palette-orbit
+    representative instead, with no automorphism search: its lattices are
+    small, so the shared pairs of `_agreements` cost less than the search.
+    Each orbit's rows are equal in value, and the earliest is its leader."""
     for comp in comps:
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
-        if coloring is None:
-            owns = [tuples[i] for i in _orbit_leaders(sub, tuples)]
-        else:
+        if coloring is not None:
             owns = [tuple(coloring.colors[v] for v in verts)]
+        elif len(tuples) << sub.n <= LATTICE_BUDGET:
+            owns = tuples
+        else:
+            owns = [tuples[i] for i in _orbit_leaders(sub, tuples)]
         if len(owns) * len(tuples) > LAZY_PAIRS:
             rows = [(tup, *_lazy_extremes(sub, Coloring(tup, k))) for tup in owns]
         else:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import critsets
-from critsets.cli import load_graph_source, main
+from critsets.cli import GENERATORS, load_graph_source, main
 from critsets.errors import InvalidParameterError
 from critsets.graphs import emit_graph6, enumerate_graphs, make_complete, make_cycle, parse_graph6
 from critsets.sudoku import canonical_board, format_board, mnc_exhaustive
@@ -417,6 +417,30 @@ def test_reduce_verify_caps_h_before_building(capsys, tmp_path, monkeypatch):
     # the option that used to move the cap is gone
     with pytest.raises(SystemExit):
         main(["--max-vertices", "30", "params", "cycle:5"])
+
+
+def test_params_caps_named_sources_before_building(capsys, monkeypatch):
+    # a connected named source over the cap is refused from N alone: built,
+    # cycle:100000 and complete:300000 would take Theta(N^2) bits first
+    built = []
+    for name in ("cycle", "complete", "path", "latin"):
+        monkeypatch.setitem(GENERATORS, name, built.append)
+    for source, order in (("cycle:100000", 100000), ("complete:300000", 300000),
+                          ("path:21", 21), ("latin:5", 25)):
+        code, out, err = run_cli(capsys, "params", source)
+        assert (code, out, built) == (2, "", []), source
+        assert err.splitlines() == [
+            f"size limit: exact search capped at 20 vertices per component (got {order})"]
+    # reduce keeps its own caps on H, so its loader builds any size
+    monkeypatch.undo()
+    assert load_graph_source("complete:30").n == 30
+    # memory that runs out anyway leaves as a size limit
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setitem(GENERATORS, "empty", exhausted)
+    code, out, err = run_cli(capsys, "params", "empty:100000")
+    assert (code, out, err) == (2, "", "size limit: out of memory\n")
 
 
 def test_reduce_checks_gadget_size_before_building(capsys, tmp_path, monkeypatch):

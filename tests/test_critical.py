@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from critsets.coloring import (
     Coloring,
     _count,
+    _orbit_leaders,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -51,7 +52,7 @@ from critsets.graphs import (
 )
 from critsets.reductions import proof_coloring_olcs, proof_coloring_ulcs, reduce_olcs, reduce_ulcs
 from critsets.scan import implication_holds, record_for_graph
-from critsets.sudoku import random_board, random_determining_set, sudoku_graph
+from critsets.sudoku import all_boards, random_board, random_determining_set, sudoku_graph
 
 C4_COLORING = Coloring((0, 1, 0, 1), 2)
 
@@ -544,6 +545,68 @@ def test_lazy_route_matches_brute_force_masks():
                 for tup, masks in _brute_minimal_masks(g, k):
                     expected = _old_transversal_witnesses(masks, g.n)
                     assert _lazy_extremes(g, Coloring(tup, k)) == expected, (g.adj, k, tup)
+
+
+def _differing(got, expected):
+    """Positions where two lists of lattices differ (the lattices are too
+    large to print)."""
+    return [i for i, (a, b) in enumerate(zip(got, expected, strict=True)) if a != b]
+
+
+def test_shared_pairs_give_each_owner_its_own_lattice():
+    # a pair of two owners among the representatives is worked once and
+    # its sets go to both; each owner's lattice must be the one it gets
+    # alone, with every representative owning (no orbit search) and with
+    # the orbit leaders owning
+    rng = random.Random(22)
+    cases = []
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            k = chromatic_number(g)
+            for comp in connected_components(g):
+                sub = induced_subgraph(g, comp)[0]
+                perm = list(range(sub.n))
+                rng.shuffle(perm)
+                cases.append((sub.relabel(perm), k))
+    latin3 = cartesian_product(make_complete(3), make_complete(3))
+    cases += [(sudoku_graph(2).graph, 4), (latin3, 3)]
+    for g, k in cases:
+        reps = list(canonical_colorings(g, k))
+        alone = [next(_agreements([own], reps, k, g.n)) for own in reps]
+        assert _differing(_agreements(reps, reps, k, g.n), alone) == [], (g.adj, k)
+        leaders = _orbit_leaders(g, reps)
+        assert _differing(_agreements([reps[i] for i in leaders], reps, k, g.n),
+                          [alone[i] for i in leaders]) == [], (g.adj, k)
+    # 276 of the 288 order-2 boards are not representatives, and their
+    # pairs stay one-sided
+    g = sudoku_graph(2).graph
+    reps = list(canonical_colorings(g, 4))
+    boards = all_boards(2)
+    alone = [next(_agreements([board], reps, 4, 16)) for board in boards]
+    assert _differing(_agreements(boards, reps, 4, 16), alone) == []
+
+
+def test_orbit_search_budget_changes_no_answer(monkeypatch):
+    # a budget of 0 searches every component with more than one palette
+    # orbit; a huge one searches none and owns every palette orbit
+    searched = []
+
+    def leaders(g, tuples):
+        searched.append(g.n)
+        return _orbit_leaders(g, tuples)
+
+    monkeypatch.setattr("critsets.critical._orbit_leaders", leaders)
+    cases = [(g, k) for n in range(7) for g in enumerate_graphs(n)
+             for k in (chromatic_number(g), chromatic_number(g) + 1)]
+    quads = []
+    for budget in (0, 10**9):
+        monkeypatch.setattr("critsets.critical.LATTICE_BUDGET", budget)
+        searched.clear()
+        quads.append([four_params(g, k) for g, k in cases])
+        assert bool(searched) == (budget == 0)
+    for (g, k), forced, free in zip(cases, *quads):
+        assert forced.values() == free.values(), (g.adj, k)
+        assert forced.witnesses == free.witnesses, (g.adj, k)
 
 
 def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
