@@ -279,7 +279,7 @@ def canonical_colorings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k == 0:
         return
     lower = [[u for u in nbrs if u < v] for v, nbrs in enumerate(g.neighbor_lists)]
-    opened = [(1 << min(u + 1, k)) - 1 for u in range(k + 1)]  # colors open after u used
+    opened = [(1 << min(u + 1, k)) - 1 for u in range(min(k, n) + 1)]  # colors open after u used
     colors = [0] * n
     shown = [0] * n  # 1 << colors[v]
     used = [0] * n  # colors used by the vertices below v

@@ -21,27 +21,26 @@ difference masks M, Tr(M).  Two routes give their extremes for
   color matchings behind the agreements depend only on the palette size
   and on which color cells meet, so one table per process (`_MATCHINGS`)
   serves every call.  `sudoku.mnc_exhaustive` uses the kernel too.
-- The lazy route (`_lazy_extremes`) grows a family F of true difference
-  masks, seeded by c's Kempe chains.  A minimal transversal T of F that
-  does not determine c adds to F the difference mask of the extension of
-  c|T other than c that its point check finds, a mask T misses (the
-  implicit hitting-set scheme of Moreno-Centeno and Karp, on the
-  unavoidable sets of McGuire, Tugemann and Civario).  It stops when
-  every T in Tr(F) determines c, and then Tr(F) = Tr(M), though masks of
-  F need not be minimal: each contains one of M, so every transversal of
-  M is one of F; and every transversal of F contains some T in Tr(F),
-  which hits all of M.  So values and lexicographically least witnesses
-  are the kernel's.
+- The lazy route (`_lazy_extremes`) compares c with no other coloring.
+  The vertices that are not colorful lie in every determining set
+  (`forced_vertices`), so it works on the lattice above with one position
+  per colorful vertex.  There it grows a family F of true difference
+  masks, seeded by Kempe chains, and reads Tr(F) off the lattice; a T in
+  Tr(F) whose point check fails adds to F the difference mask of the other
+  extension that the check finds, a mask T misses (the implicit
+  hitting-set scheme of Moreno-Centeno and Karp, on the unavoidable sets
+  of McGuire, Tugemann and Civario).  At the fixpoint Tr(F) = Tr(M), so
+  values and lexicographically least witnesses are the kernel's.
 
 The lazy route runs when a component's pairs exceed `LAZY_PAIRS`.  A sweep
-over C5-C13 at k = 3 and 4, `latin:3`, `latin:4`, `sudoku:2` and 60 random
-graphs on 8-12 vertices at chi and chi + 1, timing both routes up to 60000
-pairs (2 vCPU, Python 3.11.7) when the kernel still walked the minimal
-transversals of its masks (MMCS), found the kernel faster on some inputs
-up to 2304 pairs (20x on `latin:4`, 48 pairs, where F needs many rounds)
-and the lazy route faster on every input above that (2.6x at 2704 pairs,
-5x on C11's 7161, 10x at 57600).  The lattice is faster than that walk,
-and the crossover has not been swept again.
+over C5-C13 and P8-P10 at k = 3, `latin:3`, `latin:4`, `sudoku:2`, K3 x K4,
+K4 x K5 and 60 random graphs on 5-12 vertices at chi and chi + 1 below
+Delta + 2, timing both routes in process up to 300000 pairs (2 vCPU,
+Python 3.11.7), found that pair count separates them poorly: the kernel
+was faster on some inputs up to 4096 pairs (36x on `latin:4`, 48 pairs,
+where F needs many rounds; 2x on K4 x K5, 4032 pairs, 20 positions on
+either route) and the lazy route on some from 384 pairs up (3.4x on C9's
+680) and on every input above 4096 (10x on C11's 7161).
 
 Point checks on one given set go through `_determines` (behind
 `is_determining`, `is_critical` and the fair-puzzle certificate), which
@@ -108,7 +107,7 @@ from .coloring import (
     colorful_vertices,
 )
 from .errors import InternalError, InvalidParameterError, SizeLimitError
-from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph, reach
+from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph, mask_of, reach
 
 PARAM_NAMES = ("uscs", "oscs", "ulcs", "olcs")
 # the implications about a quad that `scan.implication_holds` tests
@@ -432,11 +431,10 @@ def _critical_sets(undetermined: int, n: int) -> int:
     return determining ^ above
 
 
-def _lattice_extremes(agree: int, n: int, bound: int | None = None):
-    """`_extremes` of the critical sets of size at most `bound` (all when
-    None), from an agreement lattice of `_agreements`, read off the size
-    layers: the highest index in a layer is its lexicographically least
-    set.
+def _critical_chunks(agree: int, n: int, bound: int | None = None) -> Iterator[tuple[int, int]]:
+    """(j, the critical sets of chunk j) from an agreement lattice over n
+    positions, highest j first; nothing at all when `bound` is given and
+    no determining set has at most `bound` positions.
 
     The tables cover 16 positions, so a larger lattice is cut into chunks
     of 2^16 bits: chunk j holds the sets whose positions from 16 up are
@@ -444,7 +442,7 @@ def _lattice_extremes(agree: int, n: int, bound: int | None = None):
     lies inside the low part of one in a chunk j' that holds all of j, so
     each chunk is first merged into the chunks of its subsets.  A set is
     critical iff it is critical within its chunk and dropping any one of
-    its high positions leaves it undetermined.  At 20 vertices two lists
+    its high positions leaves it undetermined.  At 20 positions two lists
     of 16 chunks of 8 KB are live, and no 2^20-bit table."""
     m = min(n, 16)
     width, upper = 1 << m, range(n - m)  # bit q of j is position m + q
@@ -454,16 +452,28 @@ def _lattice_extremes(agree: int, n: int, bound: int | None = None):
             if j >> q & 1:
                 chunks[j ^ 1 << q] |= chunks[j]
     chunks = [_undetermined(chunk, m) for chunk in chunks]
-    layers, top = _lattice_tables(m)[1], n if bound is None else bound
     if bound is not None and all(layer & chunk == layer for j, chunk in enumerate(chunks)
-                                 for layer in layers[:max(top + 1 - j.bit_count(), 0)]):
-        return None  # no determining set, so no critical set, that small
-    highest = {}
+                                 for layer in _lattice_tables(m)[1][:max(bound + 1 - j.bit_count(), 0)]):
+        return  # no determining set, so no critical set, that small
     for j in reversed(range(len(chunks))):
         critical = _critical_sets(chunks[j], m)
         for q in upper:
             if j >> q & 1:
                 critical &= chunks[j ^ 1 << q]
+        yield j, critical
+
+
+def _lattice_extremes(agree: int, n: int, bound: int | None = None):
+    """(scs, scs set, lcs, lcs set) over the critical sets of size at most
+    `bound` (all when None) of an agreement lattice over n positions, or
+    None if there are none; the sets are plain masks, position v at bit v,
+    not lattice indices.  They are read off the size layers of
+    `_critical_chunks`: the highest index in a layer is its
+    lexicographically least set."""
+    layers, width = _lattice_tables(min(n, 16))[1], 1 << min(n, 16)
+    top = n if bound is None else bound
+    highest = {}
+    for j, critical in _critical_chunks(agree, n, bound):
         held = j.bit_count()
         for s, layer in enumerate(layers[:max(top + 1 - held, 0)], held):
             if h := (critical & layer).bit_length():
@@ -475,93 +485,69 @@ def _lattice_extremes(agree: int, n: int, bound: int | None = None):
     return low, scs, high, lcs
 
 
-def _minimal_transversals(masks: list[int], n: int) -> list[int]:
-    """The minimal transversals of `masks`.
-
-    Murakami-Uno's MMCS walk visits each minimal transversal once: branch
-    on the unhit mask with the fewest candidate vertices, forbid the
-    earlier siblings, and cut when a chosen vertex has no private mask
-    left.
-    """
-    hits = [0] * n  # per vertex: indices of the masks containing it
-    for i, m in enumerate(masks):
-        for v in bits(m):
-            hits[v] |= 1 << i
-    found = []
-    # (chosen set, private masks of its vertices, unhit masks, candidates)
-    stack = [(0, [], (1 << len(masks)) - 1, (1 << n) - 1)]
-    while stack:
-        chosen, private, unhit, cand = stack.pop()
-        if not unhit:
-            found.append(chosen)
-        else:
-            for v in bits(min((masks[i] & cand for i in bits(unhit)), key=int.bit_count)):
-                cand ^= 1 << v
-                kept = [p & ~hits[v] for p in private]
-                if all(kept):
-                    stack.append((chosen | 1 << v, kept + [unhit & hits[v]], unhit & ~hits[v], cand))
-    return found
-
-
-def _extremes(found: list[int]):
-    """(scs, scs_set, lcs, lcs_set) over the sets `found`, or None if there
-    are none.  Witnesses are the lexicographically least vertex lists at
-    their size: of two distinct sets of one size, that is the one holding
-    the lowest bit of their symmetric difference, so one pass picks both.
-    """
-    if not found:
-        return None
-    scs = lcs = found[0]
-    low = high = scs.bit_count()
-    for m in found:
-        size = m.bit_count()
-        d = m ^ scs
-        if size < low or size == low and m & d & -d:
-            scs, low = m, size
-        d = m ^ lcs
-        if size > high or size == high and m & d & -d:
-            lcs, high = m, size
-    return low, scs, high, lcs
-
-
 def _lazy_extremes(g: Graph, coloring: Coloring):
-    """`_extremes` of the minimal transversals of the minimal difference
-    masks M of `coloring`, from a family F of difference masks grown lazily.
+    """`_lattice_extremes` of the minimal transversals of the minimal
+    difference masks M of `coloring` c, from a family F of difference
+    masks grown lazily, on a lattice with one position per colorful vertex.
 
-    F starts with the Kempe chains: swapping colors a and b on one
-    component of the subgraph on classes a and b gives another proper
-    coloring that differs exactly there.  While some minimal transversal
-    t of F does not determine the coloring c, the count behind
-    `_determines` stops at two extensions of c restricted to t, and F
-    gains the difference mask of one that is not c: it agrees with c on
-    t, so t misses it.  Sets already checked stay checked.
+    A vertex that is not colorful is a mask of M on its own, so the masks
+    of M are these singletons, which make up `forced_vertices`, and the
+    masks that lie inside colorful(c): Tr(M) is forced(c) plus the minimal
+    transversals of the latter.  F starts with the Kempe chains that miss
+    forced(c): swapping colors a and b on one component of the subgraph on
+    classes a and b gives another proper coloring that differs exactly
+    there.  Each mask marks the lattice bit of its complement in
+    colorful(c), and Tr(F) is read off the lattice as its critical sets.
+    While some T in Tr(F) does not determine c with forced(c) added, the
+    count behind `_determines` stops at two extensions, and F gains the
+    difference mask of one that is not c: it agrees with c on T and on
+    forced(c), so that mask lies inside colorful(c) and T misses it.  A
+    round lists Tr(F) once: a member that misses a mask added in the round
+    has left Tr(F), and one that hits them all is still in it (its private
+    masks stay), so only those are checked.  Sets checked stay checked.
 
     No mask of F need be minimal.  Each contains one of M, so every
     transversal of M is one of F.  Once every T in Tr(F) determines c,
     each T hits all of M, and so does every transversal of F, which
     contains some T.  So the two families of transversals are equal,
-    Tr(F) = Tr(M), with the same least witnesses.
+    Tr(F) = Tr(M), with the same least witnesses: forced(c) is in every
+    set, and the positions keep vertex order.
     """
+    n, k = g.n, coloring.k
     classes = coloring.class_masks
-    k = coloring.k
+    colorful = colorful_vertices(g, coloring)
+    forced = ((1 << n) - 1) ^ colorful
+    verts = bits(colorful)
+    r = len(verts)
+    spots = verts[::-1]  # lattice position p holds vertex spots[p]
+    width, everywhere = 1 << min(r, 16), (1 << r) - 1
     own = [1 << c for c in coloring.colors]
-    masks = list(dict.fromkeys(
-        chain for a in range(k) for b in range(a + 1, k)
-        for chain in connected_components(g, classes[a] | classes[b])))
-    checked: set[VertexSet] = set()
+    agree = 0  # the lattice bit of the positions outside each mask of F
+    for a in range(k):
+        for b in range(a + 1, k):
+            for chain in connected_components(g, classes[a] | classes[b]):
+                if not chain & forced:
+                    agree |= 1 << sum(1 << p for p, v in enumerate(spots) if not chain >> v & 1)
+    checked: set[int] = set()
     while True:
-        found = _minimal_transversals(masks, g.n)
-        for t in found:
-            if t not in checked:
+        added = []  # masks found this round, as positions
+        for j, critical in _critical_chunks(agree, r):
+            for i in compress(range(width), _flags(critical, width)):
+                t = j * width + i
+                if t in checked or not all(t & m for m in added):
+                    continue  # checked, or gone from Tr(F) with a mask added
                 exts: list = []
-                if not _determines(g, coloring, t, exts):
-                    # the count stopped at two extensions, so one of them is not c
-                    masks.append(max(sum(1 << v for v, (a, b) in enumerate(zip(ext, own)) if a != b)
-                                     for ext in exts))
-                    break
-                checked.add(t)
-        else:
-            return _extremes(found)
+                if _determines(g, coloring, forced | mask_of(spots[p] for p in bits(t)), exts):
+                    checked.add(t)
+                    continue
+                # the count stopped at two extensions, so one of them is not c
+                m = max(sum(1 << p for p, v in enumerate(spots) if ext[v] != own[v]) for ext in exts)
+                added.append(m)
+                agree |= 1 << (everywhere ^ m)
+        if not added:
+            low, scs, high, lcs = _lattice_extremes(agree, r)
+            scs, lcs = (forced | mask_of(verts[i] for i in bits(s)) for s in (scs, lcs))
+            return low + n - r, scs, high + n - r, lcs
 
 
 def _check_proper(g: Graph, coloring: Coloring):
@@ -578,9 +564,9 @@ def _check_point(g: Graph, coloring: Coloring, subset: VertexSet):
 
 
 # most (own, palette-orbit) pairs a component gives the mask kernel; above
-# this the lazy route runs (the crossover in the module docstring, timed
-# against the kernel's earlier MMCS walk and not re-swept for the lattice)
-LAZY_PAIRS = 2500
+# this the lazy route runs (the sweep in the module docstring: no input
+# above it ran faster on the kernel)
+LAZY_PAIRS = 4096
 # most palette orbits x lattice positions (T x 2^n) of a component that
 # skips the orbit search and owns all T colorings, pairs shared.  A sweep
 # over the 1610 components of the <= 7 atlas at chi (`_component_extremes`
@@ -616,12 +602,22 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
     A component within `LATTICE_BUDGET` gets a row for every palette-orbit
     representative instead, with no automorphism search: its lattices are
     small, so the shared pairs of `_agreements` cost less than the search.
-    Each orbit's rows are equal in value, and the earliest is its leader."""
+    Each orbit's rows are equal in value, and the earliest is its leader.
+
+    A component with k >= Delta + 2 needs no enumeration: no vertex there
+    is colorful, so V is the only critical set of every coloring, and its
+    one row holds the first palette-orbit coloring."""
     for comp in comps:
         sub, verts = induced_subgraph(g, comp)
+        given = None if coloring is None else tuple(coloring.colors[v] for v in verts)
+        if k >= max(map(len, sub.neighbor_lists)) + 2:
+            everything = (1 << sub.n) - 1
+            first = next(canonical_colorings(sub, k)) if given is None else given
+            yield verts, [(first, sub.n, everything, sub.n, everything)]
+            continue
         tuples = list(canonical_colorings(sub, k))
-        if coloring is not None:
-            owns = [tuple(coloring.colors[v] for v in verts)]
+        if given is not None:
+            owns = [given]
         elif len(tuples) << sub.n <= LATTICE_BUDGET:
             owns = tuples
         else:

@@ -22,11 +22,9 @@ from critsets.critical import (
     _component_extremes,
     _critical_sets,
     _determines,
-    _extremes,
     _lattice_extremes,
     _lazy_extremes,
     _maximal_matchings,
-    _minimal_transversals,
     _still_determines,
     _undetermined,
     four_params,
@@ -503,7 +501,7 @@ def _old_transversal_witnesses(masks, n, bound=None):
                         st.none() | st.integers(0, n))))
 def test_transversal_witnesses_are_lexicographically_least(case):
     # the agreement sets of masks M are their complements, so the lattice
-    # gives the extremes of Tr(M); the lazy route's MMCS walk gives them too
+    # gives the extremes of Tr(M); the reference MMCS walk gives them too
     n, masks, bound = case
     expected = _old_transversal_witnesses(masks, n, bound)
     assert _lattice_extremes(_agreement_lattice(masks, n), n, bound) == expected
@@ -519,9 +517,54 @@ def _agreement_lattice(masks, n):
     return agree
 
 
+def _minimal_transversals(masks, n):
+    """The minimal transversals of `masks`, by Murakami-Uno's MMCS walk:
+    branch on the unhit mask with the fewest candidate vertices, forbid the
+    earlier siblings, and cut when a chosen vertex has no private mask
+    left."""
+    hits = [0] * n  # per vertex: indices of the masks containing it
+    for i, m in enumerate(masks):
+        for v in bits(m):
+            hits[v] |= 1 << i
+    found = []
+    # (chosen set, private masks of its vertices, unhit masks, candidates)
+    stack = [(0, [], (1 << len(masks)) - 1, (1 << n) - 1)]
+    while stack:
+        chosen, private, unhit, cand = stack.pop()
+        if not unhit:
+            found.append(chosen)
+        else:
+            for v in bits(min((masks[i] & cand for i in bits(unhit)), key=int.bit_count)):
+                cand ^= 1 << v
+                kept = [p & ~hits[v] for p in private]
+                if all(kept):
+                    stack.append((chosen | 1 << v, kept + [unhit & hits[v]], unhit & ~hits[v], cand))
+    return found
+
+
+def _extremes(found):
+    """(scs, scs set, lcs, lcs set) over the sets `found`, or None if there
+    are none; of two sets of one size, the lexicographically least vertex
+    list is the one holding the lowest bit of their symmetric difference."""
+    if not found:
+        return None
+    scs = lcs = found[0]
+    low = high = scs.bit_count()
+    for m in found:
+        size = m.bit_count()
+        d = m ^ scs
+        if size < low or size == low and m & d & -d:
+            scs, low = m, size
+        d = m ^ lcs
+        if size > high or size == high and m & d & -d:
+            lcs, high = m, size
+    return low, scs, high, lcs
+
+
 def test_lattice_chunks_match_the_walk_above_16_vertices():
     # past 16 positions the lattice is cut into 2^16-bit chunks, which the
-    # hypothesis cases above never reach; the MMCS walk is the oracle here
+    # hypothesis cases above never reach; the reference MMCS walk is the
+    # oracle here
     rng = random.Random(20)
     for n in (17, 18, 20):
         for dense in (True, False) * 4:
@@ -611,16 +654,20 @@ def test_orbit_search_budget_changes_no_answer(monkeypatch):
 
 def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
     # the route is chosen by pair count alone, so each is forced in turn;
-    # sudoku:2, latin:3 and latin:4 need several lazy rounds (latin:4's
-    # leaders 9 and 57), the cycles one; latin:4 with a pendant vertex has
-    # 17 vertices, so its lattice is cut into two chunks
+    # sudoku:2, latin:3 and latin:4 need two lazy rounds, the cycles one;
+    # latin:4 with a pendant vertex has 17 vertices, so the kernel's
+    # lattice is cut into two chunks, and with a vertex joined to three
+    # cells of a row all 17 are colorful, so the lazy route's lattice is too
     latin3 = cartesian_product(make_complete(3), make_complete(3))
     latin4 = cartesian_product(make_complete(4), make_complete(4))
     pendant = Graph(17, (latin4.adj[0] | 1 << 16, *latin4.adj[1:], 1))
+    joined = Graph(17, (*(row | 1 << 16 for row in latin4.adj[:3]), *latin4.adj[3:], 0b111))
     rng = random.Random(14)
-    for g, k in ((make_cycle(9), 3), (make_cycle(11), 3), (make_cycle(13), 3),
-                 (sudoku_graph(2).graph, 4), (latin3, 3), (latin4, 4), (make_cycle(7), 4),
-                 (pendant, 4)):
+    cases = [(g, k) for n in range(7) for g in enumerate_graphs(n)
+             for k in (chromatic_number(g), chromatic_number(g) + 1)]
+    cases += [(make_cycle(9), 3), (make_cycle(11), 3), (make_cycle(13), 3),
+              (sudoku_graph(2).graph, 4), (latin3, 3), (latin4, 4), (pendant, 4), (joined, 4)]
+    for g, k in cases:
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = g.relabel(perm)
@@ -631,7 +678,7 @@ def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
             comps = connected_components(g)
             rows.append((list(_component_extremes(g, k, comps)),
                          list(_component_extremes(g, k, comps, one))))
-        assert rows[0] == rows[1], (g.n, k)
+        assert rows[0] == rows[1], (g.adj, k)
 
 
 def _unpruned_four_params(g, k):
@@ -663,8 +710,10 @@ def _unpruned_four_params(g, k):
 def test_orbit_pruning_changes_no_answer():
     # one coloring per Aut x S_k orbit gives the values and all four
     # witnesses of the walk over every palette-orbit coloring
+    # k = Delta + 2 takes the closed form, with no enumeration
     cases = [(g, k) for n in range(7) for g in enumerate_graphs(n)
-             for k in (chromatic_number(g), chromatic_number(g) + 1)]
+             for k in (chromatic_number(g), chromatic_number(g) + 1,
+                       max(map(len, g.neighbor_lists), default=0) + 2)]
     rng = random.Random(11)
     for g in (make_cycle(9), make_cycle(11), sudoku_graph(2).graph):
         perm = list(range(g.n))
