@@ -11,17 +11,19 @@ exception; every failure prints one line on stderr.
 
 No option moves a size limit: each exact search refuses what it would
 walk above `coloring.MAX_VERTICES` vertices (see there), `params` refuses
-a named source that is one component over that cap before building it,
-and `reduce` refuses a gadget graph6 cannot write before building it.
+a named source with a component over that cap before building it, and
+`reduce` refuses a gadget graph6 cannot write before building it (and,
+for a named H, before building H).
 
 Start-up loads graphs, coloring, critical and errors, which every
 subcommand runs.  The rest is imported by the code that runs it: scan by
 `table` and `scan`, sudoku by `sudoku` and the sudoku:N source, and
 reductions by `reduce`.  formulas is never loaded.  From the standard
-library, start-up loads argparse (with gettext), base64, random, typing,
-functools, itertools, operator and os, and no more: the records are
-`typing.NamedTuple`s, and json and csv are imported by the commands that
-print them (`reduce --out` writes its role map without json).
+library, start-up loads argparse (with gettext), base64, random (with
+math), typing, functools, itertools, operator and os, and no more: the
+records are `typing.NamedTuple`s, and json and csv are imported by the
+commands that print them (`reduce --out` writes its role map without
+json).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import comb
 
 from . import graphs
 from .coloring import Coloring, chromatic_number
@@ -60,16 +63,23 @@ GENERATORS = {
 }
 
 
-# named sources that are one connected component, with their order as a
-# power of N (for N >= 1)
-_CONNECTED_POWER = {"cycle": 1, "path": 1, "complete": 1, "latin": 2}
+# named sources with closed forms: N -> (vertices, edges, sum over vertices
+# of C(degree, 2), order of the largest component) of the graph built
+_COUNTS = {
+    "cycle": lambda n: (n, n, n, n),
+    "path": lambda n: (n, max(n - 1, 0), max(n - 2, 0), n),
+    "complete": lambda n: (n, comb(n, 2), 3 * comb(n, 3), n),
+    "latin": lambda n: (n * n, n * n * (n - 1), n * n * (n - 1) * (2 * n - 3), n * n),
+    "empty": lambda n: (n, 0, 0, min(n, 1)),
+}
 
 
-def load_graph_source(src: str, exact: bool = False) -> Graph:
-    """The graph a source names.  With `exact` (`params`), a named source
-    that is one component over the exact search's cap is refused from N
-    alone: building it would take Theta(N^2) bits first.  `reduce` keeps
-    its own caps, since its H may be larger."""
+def load_graph_source(src: str, exact: bool = False, variant: str | None = None) -> Graph:
+    """The graph a source names.  A named source is sized from N before it
+    is built, since building takes Theta(N^2) bits: with `exact`
+    (`params`), it is refused when its largest component is over the exact
+    search's cap; with a gadget `variant` (`reduce`, whose H may be larger),
+    when that gadget is over what graph6 can write."""
     if ":" in src:
         name, _, arg = src.partition(":")
         if name in GENERATORS:
@@ -77,8 +87,14 @@ def load_graph_source(src: str, exact: bool = False) -> Graph:
                 n = int(arg)
             except ValueError:
                 raise InvalidParameterError(f"bad generator argument in {src!r}") from None
-            if exact and n > 0 and name in _CONNECTED_POWER:
-                check_component_order(n ** _CONNECTED_POWER[name])
+            if n >= 0 and name in _COUNTS:
+                *counts, largest = _COUNTS[name](n)
+                if exact:
+                    check_component_order(largest)
+                if variant:
+                    from .reductions import gadget_order_of
+
+                    gadget_order_of(*counts, variant)
             return GENERATORS[name](n)
     if os.path.exists(src):
         with open(src) as fh:
@@ -277,9 +293,9 @@ def cmd_sudoku(args) -> int:
 def cmd_reduce(args) -> int:
     from . import reductions
 
-    h = load_graph_source(args.source)
+    h = load_graph_source(args.source, variant=args.variant)
     # a gadget graph6 cannot write, a bad sample count or an H over the cap
-    # fails before the build
+    # fails before the gadget is built
     reductions.gadget_order(h, args.variant)
     if args.verify:
         reductions.check_verify_inputs(h, args.samples)

@@ -10,17 +10,18 @@ else: the critical sets of c are the minimal transversals of its minimal
 difference masks M, Tr(M).  Two routes give their extremes for
 `scs_lcs_for_coloring` and `four_params`, chosen per component:
 
-- The mask kernel (`_agreements`, then `_lattice_extremes`) compares c
-  with every palette-orbit coloring, so its cost is (colorings searched) x
-  (palette orbits) pairs.  It marks each agreement set {v : c(v) == c'(v)},
-  the complement of a difference mask, in one integer with a bit per
-  subset of V.  n shift steps close that family downward, to the sets that
-  do not determine c; n more keep the minimal members of its complement,
-  the critical sets, and per-size layer masks give scs and lcs.  Above 16
-  vertices the lattice is worked in chunks of 2^16 bits.  The maximal
-  color matchings behind the agreements depend only on the palette size
-  and on which color cells meet, so one table per process (`_MATCHINGS`)
-  serves every call.  `sudoku.mnc_exhaustive` uses the kernel too.
+- The mask kernel (`_agreements`, `_critical_chunks`, then
+  `_lattice_extremes`) compares c with every palette-orbit coloring, so its
+  cost is (colorings searched) x (palette orbits) pairs.  It marks each
+  agreement set {v : c(v) == c'(v)}, the complement of a difference mask,
+  in one integer with a bit per subset of V.  n shift steps close that
+  family downward, to the sets that do not determine c; n more keep the
+  minimal members of its complement, the critical sets, and per-size layer
+  masks give scs and lcs.  The chunk walk, which cuts the lattice into
+  chunks of 2^16 bits, runs only above 16 positions.  The maximal color
+  matchings behind the agreements depend only on the palette size and on
+  which color cells meet, so one table per process (`_MATCHINGS`) serves
+  every call.  `sudoku.mnc_exhaustive` uses the kernel too.
 - The lazy route (`_lazy_extremes`) compares c with no other coloring.
   The vertices that are not colorful lie in every determining set
   (`forced_vertices`), so it works on the lattice above with one position
@@ -431,64 +432,93 @@ def _critical_sets(undetermined: int, n: int) -> int:
     return determining ^ above
 
 
-def _critical_chunks(agree: int, n: int, bound: int | None = None) -> Iterator[tuple[int, int]]:
-    """(j, the critical sets of chunk j) from an agreement lattice over n
-    positions, highest j first; nothing at all when `bound` is given and
-    no determining set has at most `bound` positions.
+def _critical_chunks(agree: int, n: int, bound: int | None = None) -> list[tuple[int, int]]:
+    """[(j, the critical sets of chunk j)] from an agreement lattice over n
+    positions, highest j first; empty when `bound` is given and no
+    determining set has at most `bound` positions.
 
-    The tables cover 16 positions, so a larger lattice is cut into chunks
-    of 2^16 bits: chunk j holds the sets whose positions from 16 up are
-    the bits of j.  A set lies inside an agreement set iff its low part
+    The tables cover 16 positions, so up to 16 the lattice is one chunk,
+    j = 0, and this is one down-closure, the bound check on its layers and
+    one pass for the critical sets.  Only above 16 is the lattice cut into
+    chunks of 2^16 bits: chunk j holds the sets whose positions from 16 up
+    are the bits of j.  A set lies inside an agreement set iff its low part
     lies inside the low part of one in a chunk j' that holds all of j, so
     each chunk is first merged into the chunks of its subsets.  A set is
     critical iff it is critical within its chunk and dropping any one of
     its high positions leaves it undetermined.  At 20 positions two lists
     of 16 chunks of 8 KB are live, and no 2^20-bit table."""
     m = min(n, 16)
-    width, upper = 1 << m, range(n - m)  # bit q of j is position m + q
-    chunks = [agree >> j * width & (1 << width) - 1 for j in range(1 << n - m)]
-    for q in upper:
-        for j in range(len(chunks)):
-            if j >> q & 1:
-                chunks[j ^ 1 << q] |= chunks[j]
-    chunks = [_undetermined(chunk, m) for chunk in chunks]
+    upper = range(n - m)  # bit q of j is position m + q
+    if upper:
+        width = 1 << m
+        chunks = [agree >> j * width & (1 << width) - 1 for j in range(1 << n - m)]
+        for q in upper:
+            for j in range(len(chunks)):
+                if j >> q & 1:
+                    chunks[j ^ 1 << q] |= chunks[j]
+        chunks = [_undetermined(chunk, m) for chunk in chunks]
+    else:
+        chunks = [_undetermined(agree, n)]
     if bound is not None and all(layer & chunk == layer for j, chunk in enumerate(chunks)
                                  for layer in _lattice_tables(m)[1][:max(bound + 1 - j.bit_count(), 0)]):
-        return  # no determining set, so no critical set, that small
+        return []  # no determining set, so no critical set, that small
+    out = []
     for j in reversed(range(len(chunks))):
         critical = _critical_sets(chunks[j], m)
         for q in upper:
             if j >> q & 1:
                 critical &= chunks[j ^ 1 << q]
-        yield j, critical
+        out.append((j, critical))
+    return out
 
 
-def _lattice_extremes(agree: int, n: int, bound: int | None = None):
+def _lattice_extremes(chunks: list[tuple[int, int]], n: int, bound: int | None = None):
     """(scs, scs set, lcs, lcs set) over the critical sets of size at most
-    `bound` (all when None) of an agreement lattice over n positions, or
-    None if there are none; the sets are plain masks, position v at bit v,
-    not lattice indices.  They are read off the size layers of
-    `_critical_chunks`: the highest index in a layer is its
-    lexicographically least set."""
-    layers, width = _lattice_tables(min(n, 16))[1], 1 << min(n, 16)
+    `bound` (all when None) in `chunks`, the `_critical_chunks` list of an
+    agreement lattice over n positions, or None if there are none; the sets
+    are plain masks, position v at bit v, not lattice indices.
+
+    Per chunk, one scan goes up from the smallest layer the chunk can hold
+    and stops at the first non-empty one, and one goes down from the bound
+    the same way; no other layer is read.  The highest index in a layer is
+    its lexicographically least set.  Chunks come highest j first, so on a
+    size tie the set found first has the higher index, and it is kept.
+
+    Two other cuts of the kernel were measured and dropped (2 vCPU, Python
+    3.11.7): marking the agreement bits of `_agreements` with
+    `sum(map((1).__lshift__, agrees))` is 5x slower than its `|=` loop at
+    16 positions (62.5 against 13.3 us for 60 marks) and raised `sudoku mnc
+    --no-symmetry` from 0.15-0.17 to 0.19-0.22 s normalised; packing the
+    k^2 cells of an own x rep pair into one integer AND (SWAR) gained
+    nothing measurable on top of this read."""
+    m = min(n, 16)
+    layers = _lattice_tables(m)[1]
     top = n if bound is None else bound
-    highest = {}
-    for j, critical in _critical_chunks(agree, n, bound):
+    low, high = top + 1, -1  # the sizes of the sets kept so far
+    for j, critical in chunks:
         held = j.bit_count()
-        for s, layer in enumerate(layers[:max(top + 1 - held, 0)], held):
-            if h := (critical & layer).bit_length():
-                highest.setdefault(s, j * width + h - 1)
-    if not highest:
-        return None
-    low, high = min(highest), max(highest)
-    scs, lcs = (int(f"{highest[s]:0{n}b}"[::-1], 2) for s in (low, high))
-    return low, scs, high, lcs
+        sizes = range(held, min(top, held + m) + 1)
+        for s in sizes:
+            if h := (critical & layers[s - held]).bit_length():
+                if s < low:
+                    low, scs = s, j << m | h - 1
+                break
+        for s in reversed(sizes):
+            if h := (critical & layers[s - held]).bit_length():
+                if s > high:
+                    high, lcs = s, j << m | h - 1
+                break
+    if high >= 0:  # a lattice index is a mask's n bits reversed
+        return (low, int(bin(scs)[:1:-1], 2) << n - scs.bit_length(),
+                high, int(bin(lcs)[:1:-1], 2) << n - lcs.bit_length())
+    return None
 
 
 def _lazy_extremes(g: Graph, coloring: Coloring):
-    """`_lattice_extremes` of the minimal transversals of the minimal
-    difference masks M of `coloring` c, from a family F of difference
-    masks grown lazily, on a lattice with one position per colorful vertex.
+    """(scs, scs set, lcs, lcs set) over the minimal transversals of the
+    minimal difference masks M of `coloring` c, from a family F of
+    difference masks grown lazily, on a lattice with one position per
+    colorful vertex.
 
     A vertex that is not colorful is a mask of M on its own, so the masks
     of M are these singletons, which make up `forced_vertices`, and the
@@ -505,6 +535,8 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     round lists Tr(F) once: a member that misses a mask added in the round
     has left Tr(F), and one that hits them all is still in it (its private
     masks stay), so only those are checked.  Sets checked stay checked.
+    The round that adds no mask lists Tr(F) = Tr(M), so the extremes are
+    read off that round's chunk list, with no second walk of the lattice.
 
     No mask of F need be minimal.  Each contains one of M, so every
     transversal of M is one of F.  Once every T in Tr(F) determines c,
@@ -531,7 +563,8 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     checked: set[int] = set()
     while True:
         added = []  # masks found this round, as positions
-        for j, critical in _critical_chunks(agree, r):
+        chunks = _critical_chunks(agree, r)
+        for j, critical in chunks:
             for i in compress(range(width), _flags(critical, width)):
                 t = j * width + i
                 if t in checked or not all(t & m for m in added):
@@ -545,7 +578,7 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
                 added.append(m)
                 agree |= 1 << (everywhere ^ m)
         if not added:
-            low, scs, high, lcs = _lattice_extremes(agree, r)
+            low, scs, high, lcs = _lattice_extremes(chunks, r)
             scs, lcs = (forced | mask_of(verts[i] for i in bits(s)) for s in (scs, lcs))
             return low + n - r, scs, high + n - r, lcs
 
@@ -608,7 +641,8 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
     is colorful, so V is the only critical set of every coloring, and its
     one row holds the first palette-orbit coloring."""
     for comp in comps:
-        sub, verts = induced_subgraph(g, comp)
+        # a connected g is its own component: no copy, no symmetry re-check
+        sub, verts = (g, range(g.n)) if comp == (1 << g.n) - 1 else induced_subgraph(g, comp)
         given = None if coloring is None else tuple(coloring.colors[v] for v in verts)
         if k >= max(map(len, sub.neighbor_lists)) + 2:
             everything = (1 << sub.n) - 1
@@ -626,7 +660,8 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
             rows = [(tup, *_lazy_extremes(sub, Coloring(tup, k))) for tup in owns]
         else:
             lattices = _agreements(owns, tuples, k, sub.n)
-            rows = [(tup, *_lattice_extremes(a, sub.n)) for tup, a in zip(owns, lattices)]
+            rows = [(tup, *_lattice_extremes(_critical_chunks(a, sub.n), sub.n))
+                    for tup, a in zip(owns, lattices)]
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")
         yield verts, rows

@@ -105,11 +105,17 @@ def _add_triangle(num: int, edges: list, roles: list):
 def gadget_order(h: Graph, variant: str) -> int:
     """|V(G)| of the `variant` instance of h from the closed forms, without
     building it; `SizeLimitError` above what graph6 can write."""
-    n, m = h.n, h.m
+    return gadget_order_of(h.n, h.m, sum(comb(len(row), 2) for row in h.neighbor_lists), variant)
+
+
+def gadget_order_of(n: int, m: int, pairs: int, variant: str) -> int:
+    """`gadget_order` of an H with n vertices, m edges and `pairs` pairs of
+    edges that share a vertex (the sum of C(deg, 2)), so that a named H is
+    sized from N before it is built (`cli.load_graph_source`)."""
     if variant == ULCS:
         order = n + m * (m + n + 1) + 3
     elif variant == OLCS:
-        order = 2 * m + (2 * m + 2) * sum(comb(len(row), 2) for row in h.neighbor_lists) + 3
+        order = 2 * m + (2 * m + 2) * pairs + 3
     else:
         raise InvalidParameterError(f"unknown variant {variant!r}")
     if order > _G6_MAX_LONG:

@@ -22,7 +22,7 @@ from .coloring import (
     canonical_colorings,
     count_colorings_extending,
 )
-from .critical import _agreements, _determines, _lattice_extremes, is_determining
+from .critical import _agreements, _critical_chunks, _determines, _lattice_extremes, is_determining
 from .errors import InternalError, InvalidParameterError, SizeLimitError, UnsupportedError
 from .graphs import Graph, VertexSet, bits
 
@@ -355,7 +355,7 @@ def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     the 2^16-set lattice: the mask kernel behind uscs in
     `critical.four_params`, bounded by the best clue count so far.  A board
     whose down-closure holds every set within that bound has no fair puzzle
-    that small, and `_lattice_extremes` returns before it forms any critical
+    that small, and `_critical_chunks` returns before it forms any critical
     set: without symmetry, 287 of the 288 boards end there.  Boards
     in one Aut x S_4 orbit have the same minimum, so with `symmetry` on only
     the earliest palette-orbit representative of each orbit is searched (2
@@ -374,7 +374,8 @@ def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
         candidates = all_boards(2)
     best = None
     for board, agree in zip(candidates, _agreements(candidates, orbit_reps, side, cells)):
-        got = _lattice_extremes(agree, cells, None if best is None else best[0] - 1)
+        bound = None if best is None else best[0] - 1
+        got = _lattice_extremes(_critical_chunks(agree, cells, bound), cells, bound)
         if got is not None:
             best = (got[0], board, got[1])
     if best is None:

@@ -419,6 +419,33 @@ def test_reduce_verify_caps_h_before_building(capsys, tmp_path, monkeypatch):
         main(["--max-vertices", "30", "params", "cycle:5"])
 
 
+def test_reduce_refuses_named_sources_before_building(capsys, monkeypatch):
+    # a named H whose gadget graph6 cannot write is refused from N alone:
+    # built, cycle:2000000 would take about 500 GB as adjacency bitsets
+    from math import comb
+
+    from critsets.cli import _COUNTS
+    from critsets.graphs import connected_components
+
+    # the closed forms give the built graph's counts
+    for name, counts in _COUNTS.items():
+        for n in range(3 if name == "cycle" else 0, 7):
+            h = GENERATORS[name](n)
+            largest = max((c.bit_count() for c in connected_components(h)), default=0)
+            pairs = sum(comb(len(row), 2) for row in h.neighbor_lists)
+            assert counts(n) == (h.n, h.m, pairs, largest), (name, n)
+    built = []
+    for name in _COUNTS:
+        monkeypatch.setitem(GENERATORS, name, built.append)
+    for argv, order in ((["ulcs", "cycle:2000000"], 2000000 * 4000002 + 3),
+                        (["olcs", "complete:100000"],
+                         2 * comb(100000, 2) + (2 * comb(100000, 2) + 2) * 100000 * comb(99999, 2) + 3)):
+        code, out, err = run_cli(capsys, "reduce", *argv)
+        assert (code, out, built) == (2, "", []), argv
+        assert err.splitlines() == [
+            f"size limit: {argv[0]} gadget of {order} vertices is over the graph6 limit of 258047"]
+
+
 def test_params_caps_named_sources_before_building(capsys, monkeypatch):
     # a connected named source over the cap is refused from N alone: built,
     # cycle:100000 and complete:300000 would take Theta(N^2) bits first

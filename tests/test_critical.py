@@ -20,6 +20,7 @@ from critsets.critical import (
     PARAM_NAMES,
     _agreements,
     _component_extremes,
+    _critical_chunks,
     _critical_sets,
     _determines,
     _lattice_extremes,
@@ -504,7 +505,8 @@ def test_transversal_witnesses_are_lexicographically_least(case):
     # gives the extremes of Tr(M); the reference MMCS walk gives them too
     n, masks, bound = case
     expected = _old_transversal_witnesses(masks, n, bound)
-    assert _lattice_extremes(_agreement_lattice(masks, n), n, bound) == expected
+    chunks = _critical_chunks(_agreement_lattice(masks, n), n, bound)
+    assert _lattice_extremes(chunks, n, bound) == expected
     if bound is None:
         assert _extremes(_minimal_transversals(masks, n)) == expected
 
@@ -561,20 +563,22 @@ def _extremes(found):
     return low, scs, high, lcs
 
 
-def test_lattice_chunks_match_the_walk_above_16_vertices():
-    # past 16 positions the lattice is cut into 2^16-bit chunks, which the
-    # hypothesis cases above never reach; the reference MMCS walk is the
+def test_lattice_chunks_match_the_walk_at_and_above_16_vertices():
+    # up to 16 positions the lattice is one chunk (at 16 exactly one full
+    # 2^16-bit chunk); past 16 it is cut into 2^16-bit chunks, which the
+    # hypothesis cases above never reach.  The reference MMCS walk is the
     # oracle here
     rng = random.Random(20)
-    for n in (17, 18, 20):
+    for n in (12, 16, 17, 18, 20):
         for dense in (True, False) * 4:
             masks = [(rng.getrandbits(n) if dense else rng.getrandbits(n) & rng.getrandbits(n))
                      | 1 << rng.randrange(n) for _ in range(rng.randint(1, 7))]
             found = _minimal_transversals(masks, n)
             for bound in (None, rng.randint(0, n)):
                 kept = [t for t in found if bound is None or t.bit_count() <= bound]
-                got = _lattice_extremes(_agreement_lattice(masks, n), n, bound)
-                assert got == _extremes(kept), (n, masks, bound)
+                chunks = _critical_chunks(_agreement_lattice(masks, n), n, bound)
+                assert len(chunks) == (1 << max(n - 16, 0) if kept else 0), (n, masks, bound)
+                assert _lattice_extremes(chunks, n, bound) == _extremes(kept), (n, masks, bound)
 
 
 def test_lazy_route_matches_brute_force_masks():
@@ -588,6 +592,36 @@ def test_lazy_route_matches_brute_force_masks():
                 for tup, masks in _brute_minimal_masks(g, k):
                     expected = _old_transversal_witnesses(masks, g.n)
                     assert _lazy_extremes(g, Coloring(tup, k)) == expected, (g.adj, k, tup)
+
+
+def test_lazy_route_closes_each_round_lattice_once(monkeypatch):
+    # the round that adds no mask reads the extremes off its own chunk list,
+    # so each lattice the route builds is closed and cut to its critical
+    # sets once: one _critical_sets call per round, not rounds + 1.  Every
+    # C11 leader needs one round; latin:3 needs two on some leader
+    lattices, formed = [], []
+
+    def chunks(agree, n, bound=None):
+        lattices.append(agree)
+        return _critical_chunks(agree, n, bound)
+
+    def critical_sets(undetermined, n):
+        formed.append(undetermined)
+        return _critical_sets(undetermined, n)
+
+    monkeypatch.setattr("critsets.critical._critical_chunks", chunks)
+    monkeypatch.setattr("critsets.critical._critical_sets", critical_sets)
+    latin3 = cartesian_product(make_complete(3), make_complete(3))
+    for g, k, most in ((make_cycle(11), 3, 1), (latin3, 3, 2)):
+        tuples = list(canonical_colorings(g, k))
+        counts = []
+        for i in _orbit_leaders(g, tuples):
+            del lattices[:], formed[:]
+            _lazy_extremes(g, Coloring(tuples[i], k))
+            rounds = len(set(lattices))  # each round adds a mask, so its lattice is new
+            assert len(formed) == len(lattices) == rounds, (g.adj, tuples[i])
+            counts.append(rounds)
+        assert max(counts) == most, (g.adj, counts)
 
 
 def _differing(got, expected):
@@ -690,7 +724,7 @@ def _unpruned_four_params(g, k):
     for comp in connected_components(g):
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
-        rows = [(tup, *_lattice_extremes(agree, sub.n))
+        rows = [(tup, *_lattice_extremes(_critical_chunks(agree, sub.n), sub.n))
                 for tup, agree in zip(tuples, _agreements(tuples, tuples, k, sub.n))]
         components.append((verts, rows))
     out = {}

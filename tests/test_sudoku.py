@@ -7,6 +7,7 @@ import pytest
 from critsets.coloring import Coloring, canonical_colorings, count_colorings_extending
 from critsets.critical import (
     _agreements,
+    _critical_chunks,
     _critical_sets,
     _lattice_extremes,
     four_params,
@@ -340,13 +341,13 @@ def test_lattice_bound_below_scs_skips_the_critical_sets(monkeypatch):
     boards = all_boards(2)
     reps = list(canonical_colorings(s.graph, 4))
     for board, agree in zip(boards[::29], _agreements(boards[::29], reps, 4, 16)):
-        free = _lattice_extremes(agree, 16)
+        free = _lattice_extremes(_critical_chunks(agree, 16), 16)
         assert free[0] == 4
         del formed[:]
         for bound in range(4):
-            assert _lattice_extremes(agree, 16, bound) is None, (board, bound)
+            assert _critical_chunks(agree, 16, bound) == [], (board, bound)
         assert formed == []
-        assert _lattice_extremes(agree, 16, 4) == (4, free[1], 4, free[1])
+        assert _lattice_extremes(_critical_chunks(agree, 16, 4), 16, 4) == (4, free[1], 4, free[1])
         assert formed == [16]
     # so the exhaustive minimum forms critical sets on its first board only
     del formed[:]
