@@ -5,9 +5,9 @@ and reduce.  Graph sources are graph6 strings, files containing one, or
 the generator mini-language cycle:N, complete:N, path:N, empty:N,
 sudoku:N, latin:N.
 
-Exit codes: 0 success, 1 input error (undecodable input text too),
-2 size limit (memory running out too), 3 invariant breach or any other
-exception; every failure prints one line on stderr.
+Exit codes: 0 success, 1 input error (undecodable input text and usage
+errors too), 2 size limit (memory running out too), 3 invariant breach or
+any other exception; every failure prints one line on stderr.
 
 No option moves a size limit: each exact search refuses what it would
 walk above `coloring.MAX_VERTICES` vertices (see there), `params` refuses
@@ -326,14 +326,20 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an input error, not argparse's usage and exit 2
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critsets",
         description="Exact critical-set computations for graph colorings",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for table and scan, capped at the CPU count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="four extremal parameters of one graph")
@@ -392,9 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InvalidParameterError, UnsupportedError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

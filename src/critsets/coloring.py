@@ -311,6 +311,12 @@ def canonical_colorings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         untried[v] = opened[u] & ~forbid
 
 
+def _palette_form(colors) -> tuple[int, ...]:
+    """`colors` renamed in first-use order: its palette-orbit representative."""
+    relabel: dict[int, int] = {}
+    return tuple([relabel.setdefault(c, len(relabel)) for c in colors])
+
+
 def _orbit_leaders(g: Graph, tuples: list[tuple[int, ...]]) -> list[int]:
     """Indices into `tuples`, the output of `canonical_colorings(g, k)` in
     its order, of the earliest member of each Aut(g) x S_k orbit.

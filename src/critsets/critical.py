@@ -21,7 +21,8 @@ difference masks M, Tr(M).  Two routes give their extremes for
   chunks of 2^16 bits, runs only above 16 positions.  The maximal color
   matchings behind the agreements depend only on the palette size and on
   which color cells meet, so one table per process (`_MATCHINGS`) serves
-  every call.  `sudoku.mnc_exhaustive` uses the kernel too.
+  every call.  It works palette-orbit representatives only; any other
+  coloring runs as its palette form, which has the same agreement sets.
 - The lazy route (`_lazy_extremes`) compares c with no other coloring.
   The vertices that are not colorful lie in every determining set
   (`forced_vertices`), so it works on the lattice above with one position
@@ -103,6 +104,7 @@ from .coloring import (
     _class_masks,
     _count,
     _orbit_leaders,
+    _palette_form,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -324,10 +326,8 @@ def _maximal_matchings(k: int, occupied: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _agreements(
-    owns: Sequence[tuple[int, ...]], reps: Sequence[tuple[int, ...]], k: int, n: int
-) -> Iterator[int]:
-    """For each coloring c in `owns` (as color tuples), a 2^n-bit integer
+def _agreements(owns: Sequence[int], reps: Sequence[tuple[int, ...]], k: int, n: int) -> Iterator[int]:
+    """For each coloring c of `reps` that `owns` indexes, a 2^n-bit integer
     with a 1 at the lattice index of agreement sets {v : c(v) == c'(v)} of
     c with proper k-colorings c' != c: of every maximal one, and of no set
     that is not one.
@@ -346,11 +346,10 @@ def _agreements(
     Agreement is symmetric: {v : c(v) == p(c'(v))} is the same set seen
     from c' under the inverse of p, and the cells of (c', c) are those of
     (c, c') transposed, with the same maximal matchings.  So a pair of two
-    owners that are both in `reps` is worked once, by the earlier owner,
-    and its sets go to both; the pair of an owner with itself holds only
-    the identity matching, the all-agree set, and is skipped.  An owner
-    outside `reps` (every board of `mnc_exhaustive` without symmetry)
-    keeps one-sided pairs.  Owners' sets wait in memory until their turn.
+    owners is worked once, by the earlier owner, and its sets go to both;
+    the pair of an owner with itself holds only the identity matching, the
+    all-agree set, and is skipped.  Owners' sets wait in memory until their
+    turn.
 
     The matchings depend only on k and the occupied cells, so they live in
     the process-wide `_MATCHINGS` table: an atlas scan meets a few thousand
@@ -359,21 +358,17 @@ def _agreements(
     """
     full = (1 << n) - 1
     matchings = _MATCHINGS.setdefault(k, {})
-    slot = {rep: j for j, rep in enumerate(reps)}
-    places = [slot.get(c) for c in owns]  # each owner's index in reps, if there
-    alone = [-1] * len(reps)
-    owner = alone[:]  # per rep: the owner that is it, if any
-    for i, j in enumerate(places):
-        if j is not None:
-            owner[j] = i
+    owner = [-1] * len(reps)  # per rep: the owner that is it, if any
+    for i, j in enumerate(owns):
+        owner[j] = i
     reps = [_class_masks(rep[::-1], k) for rep in reps]
-    pending = [set() for _ in places]  # sets that earlier owners' pairs found
-    for i, (c, j) in enumerate(zip(owns, places)):
-        own = _class_masks(c[::-1], k) if j is None else reps[j]
+    pending = [set() for _ in owns]  # sets that earlier owners' pairs found
+    for i, j in enumerate(owns):
+        own = reps[j]
         agrees = pending[i]
         pending[i] = None  # else every owner's sets stay alive to the end
         agrees.update(full ^ (own[a] | own[b]) for a in range(k) for b in range(a + 1, k))
-        for rep, other in zip(reps, alone if j is None else owner):
+        for rep, other in zip(reps, owner):
             if 0 <= other <= i:
                 continue  # worked by owner `other`, or the pair of c with itself
             theirs = agrees if other < 0 else pending[other]
@@ -432,39 +427,34 @@ def _critical_sets(undetermined: int, n: int) -> int:
     return determining ^ above
 
 
-def _critical_chunks(agree: int, n: int, bound: int | None = None) -> list[tuple[int, int]]:
+def _critical_chunks(agree: int, n: int) -> list[tuple[int, int]]:
     """[(j, the critical sets of chunk j)] from an agreement lattice over n
-    positions, highest j first; empty when `bound` is given and no
-    determining set has at most `bound` positions.
+    positions, highest j first.  V determines, so some chunk holds a
+    critical set.
 
     The tables cover 16 positions, so up to 16 the lattice is one chunk,
-    j = 0, and this is one down-closure, the bound check on its layers and
-    one pass for the critical sets.  Only above 16 is the lattice cut into
-    chunks of 2^16 bits: chunk j holds the sets whose positions from 16 up
-    are the bits of j.  A set lies inside an agreement set iff its low part
-    lies inside the low part of one in a chunk j' that holds all of j, so
-    each chunk is first merged into the chunks of its subsets.  A set is
-    critical iff it is critical within its chunk and dropping any one of
-    its high positions leaves it undetermined.  At 20 positions two lists
-    of 16 chunks of 8 KB are live, and no 2^20-bit table."""
-    m = min(n, 16)
-    upper = range(n - m)  # bit q of j is position m + q
-    if upper:
-        width = 1 << m
-        chunks = [agree >> j * width & (1 << width) - 1 for j in range(1 << n - m)]
-        for q in upper:
-            for j in range(len(chunks)):
-                if j >> q & 1:
-                    chunks[j ^ 1 << q] |= chunks[j]
-        chunks = [_undetermined(chunk, m) for chunk in chunks]
-    else:
-        chunks = [_undetermined(agree, n)]
-    if bound is not None and all(layer & chunk == layer for j, chunk in enumerate(chunks)
-                                 for layer in _lattice_tables(m)[1][:max(bound + 1 - j.bit_count(), 0)]):
-        return []  # no determining set, so no critical set, that small
+    j = 0, and this is one down-closure and one pass for the critical sets.
+    Only above 16 is the lattice cut into chunks of 2^16 bits: chunk j
+    holds the sets whose positions from 16 up are the bits of j.  A set
+    lies inside an agreement set iff its low part lies inside the low part
+    of one in a chunk j' that holds all of j, so each chunk is first merged
+    into the chunks of its subsets.  A set is critical iff it is critical
+    within its chunk and dropping any one of its high positions leaves it
+    undetermined.  At 20 positions two lists of 16 chunks of 8 KB are live,
+    and no 2^20-bit table."""
+    if n <= 16:
+        return [(0, _critical_sets(_undetermined(agree, n), n))]
+    width = 1 << 16
+    upper = range(n - 16)  # bit q of j is position 16 + q
+    chunks = [agree >> j * width & (1 << width) - 1 for j in range(1 << n - 16)]
+    for q in upper:
+        for j in range(len(chunks)):
+            if j >> q & 1:
+                chunks[j ^ 1 << q] |= chunks[j]
+    chunks = [_undetermined(chunk, 16) for chunk in chunks]
     out = []
     for j in reversed(range(len(chunks))):
-        critical = _critical_sets(chunks[j], m)
+        critical = _critical_sets(chunks[j], 16)
         for q in upper:
             if j >> q & 1:
                 critical &= chunks[j ^ 1 << q]
@@ -472,16 +462,15 @@ def _critical_chunks(agree: int, n: int, bound: int | None = None) -> list[tuple
     return out
 
 
-def _lattice_extremes(chunks: list[tuple[int, int]], n: int, bound: int | None = None):
-    """(scs, scs set, lcs, lcs set) over the critical sets of size at most
-    `bound` (all when None) in `chunks`, the `_critical_chunks` list of an
-    agreement lattice over n positions, or None if there are none; the sets
-    are plain masks, position v at bit v, not lattice indices.
+def _lattice_extremes(chunks: list[tuple[int, int]], n: int):
+    """(scs, scs set, lcs, lcs set) over the critical sets in `chunks`, the
+    `_critical_chunks` list of an agreement lattice over n positions; the
+    sets are plain masks, position v at bit v, not lattice indices.
 
     Per chunk, one scan goes up from the smallest layer the chunk can hold
-    and stops at the first non-empty one, and one goes down from the bound
-    the same way; no other layer is read.  The highest index in a layer is
-    its lexicographically least set.  Chunks come highest j first, so on a
+    and stops at the first non-empty one, and one goes down from its
+    largest layer the same way; no other layer is read.  The highest index
+    in a layer is its lexicographically least set.  Chunks come highest j first, so on a
     size tie the set found first has the higher index, and it is kept.
 
     Two other cuts of the kernel were measured and dropped (2 vCPU, Python
@@ -493,11 +482,10 @@ def _lattice_extremes(chunks: list[tuple[int, int]], n: int, bound: int | None =
     nothing measurable on top of this read."""
     m = min(n, 16)
     layers = _lattice_tables(m)[1]
-    top = n if bound is None else bound
-    low, high = top + 1, -1  # the sizes of the sets kept so far
+    low, high = n + 1, -1  # the sizes of the sets kept so far
     for j, critical in chunks:
         held = j.bit_count()
-        sizes = range(held, min(top, held + m) + 1)
+        sizes = range(held, held + m + 1)
         for s in sizes:
             if h := (critical & layers[s - held]).bit_length():
                 if s < low:
@@ -508,10 +496,9 @@ def _lattice_extremes(chunks: list[tuple[int, int]], n: int, bound: int | None =
                 if s > high:
                     high, lcs = s, j << m | h - 1
                 break
-    if high >= 0:  # a lattice index is a mask's n bits reversed
-        return (low, int(bin(scs)[:1:-1], 2) << n - scs.bit_length(),
-                high, int(bin(lcs)[:1:-1], 2) << n - lcs.bit_length())
-    return None
+    # a lattice index is a mask's n bits reversed
+    return (low, int(bin(scs)[:1:-1], 2) << n - scs.bit_length(),
+            high, int(bin(lcs)[:1:-1], 2) << n - lcs.bit_length())
 
 
 def _lazy_extremes(g: Graph, coloring: Coloring):
@@ -630,7 +617,7 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
     scs set, lcs, lcs set) for the earliest palette-orbit representative of
     each Aut x S_k orbit of its proper k-colorings, or only for the
     restriction of `coloring` when given.  Colors and sets are in the
-    component's own indices.
+    component's own indices; a given restriction runs as its palette form.
 
     A component within `LATTICE_BUDGET` gets a row for every palette-orbit
     representative instead, with no automorphism search: its lattices are
@@ -643,7 +630,7 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
     for comp in comps:
         # a connected g is its own component: no copy, no symmetry re-check
         sub, verts = (g, range(g.n)) if comp == (1 << g.n) - 1 else induced_subgraph(g, comp)
-        given = None if coloring is None else tuple(coloring.colors[v] for v in verts)
+        given = None if coloring is None else _palette_form(coloring.colors[v] for v in verts)
         if k >= max(map(len, sub.neighbor_lists)) + 2:
             everything = (1 << sub.n) - 1
             first = next(canonical_colorings(sub, k)) if given is None else given
@@ -651,17 +638,17 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
             continue
         tuples = list(canonical_colorings(sub, k))
         if given is not None:
-            owns = [given]
+            owns = [tuples.index(given)]
         elif len(tuples) << sub.n <= LATTICE_BUDGET:
-            owns = tuples
+            owns = range(len(tuples))
         else:
-            owns = [tuples[i] for i in _orbit_leaders(sub, tuples)]
+            owns = _orbit_leaders(sub, tuples)
         if len(owns) * len(tuples) > LAZY_PAIRS:
-            rows = [(tup, *_lazy_extremes(sub, Coloring(tup, k))) for tup in owns]
+            rows = [(tuples[j], *_lazy_extremes(sub, Coloring(tuples[j], k))) for j in owns]
         else:
             lattices = _agreements(owns, tuples, k, sub.n)
-            rows = [(tup, *_lattice_extremes(_critical_chunks(a, sub.n), sub.n))
-                    for tup, a in zip(owns, lattices)]
+            rows = [(tuples[j], *_lattice_extremes(_critical_chunks(a, sub.n), sub.n))
+                    for j, a in zip(owns, lattices)]
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")
         yield verts, rows

@@ -4,6 +4,7 @@ process pool for the larger catalogs.
 
 from __future__ import annotations
 
+import os
 import sys
 from itertools import islice
 from typing import NamedTuple
@@ -73,8 +74,10 @@ def _worker(args: tuple[int, str]):
 
 def walk_graph6_lines(lines, jobs: int = 1):
     """Yield (line number, `GraphRecord` or parse error message) for each
-    nonblank line, in input order, on `jobs` worker processes when jobs > 1."""
+    nonblank line, in input order, on min(jobs, CPU count) worker processes
+    when that is above 1."""
     tasks = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         yield from map(_worker, tasks)
         return

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .coloring import (
     Coloring,
     _orbit_leaders,
+    _palette_form,
     _shuffle,
     canonical_colorings,
     count_colorings_extending,
@@ -349,38 +350,30 @@ class MncResult(NamedTuple):
 def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     """Exhaustive minimum clue count over all order-2 boards.
 
-    A clue set is fair iff it lies inside no agreement set of the board
-    with one of the other 287 boards, so a board's smallest fair puzzle is
-    the least set of the smallest size layer outside their down-closure in
-    the 2^16-set lattice: the mask kernel behind uscs in
-    `critical.four_params`, bounded by the best clue count so far.  A board
-    whose down-closure holds every set within that bound has no fair puzzle
-    that small, and `_critical_chunks` returns before it forms any critical
-    set: without symmetry, 287 of the 288 boards end there.  Boards
-    in one Aut x S_4 orbit have the same minimum, so with `symmetry` on only
-    the earliest palette-orbit representative of each orbit is searched (2
-    boards, chosen as in `four_params`); with it off, all 288 boards are.
-    Both modes return the same minimum.  A given clue set is checked by
-    `certify_fair_puzzle`, the propagation counter that also runs at order 3.
+    A fair puzzle is a determining set, so a board's smallest one is its
+    smallest critical set, from the mask kernel behind uscs in
+    `critical.four_params`.  A board has the agreement sets of its palette
+    form, so one kernel pass over palette-orbit representatives gives each
+    board the (scs, least set) of its own.  With `symmetry` on, the pass
+    and the minimum take the earliest representative of each Aut x S_4
+    orbit (2 boards, chosen as in `four_params`), as an orbit shares its
+    minimum; with it off, the pass takes all 12 and the minimum all 288
+    sorted boards.  The first board to reach it wins, so both modes give
+    the same puzzle.  A given clue set is checked by `certify_fair_puzzle`,
+    the propagation counter that also runs at order 3.
     """
     if n != 2:
         raise UnsupportedError("exhaustive minimum-clue search is only supported at order 2")
     side, cells = 4, 16
     graph = sudoku_graph(2).graph
-    orbit_reps = list(canonical_colorings(graph, side))
-    if symmetry:
-        candidates = [orbit_reps[i] for i in _orbit_leaders(graph, orbit_reps)]
-    else:
-        candidates = all_boards(2)
-    best = None
-    for board, agree in zip(candidates, _agreements(candidates, orbit_reps, side, cells)):
-        bound = None if best is None else best[0] - 1
-        got = _lattice_extremes(_critical_chunks(agree, cells, bound), cells, bound)
-        if got is not None:
-            best = (got[0], board, got[1])
-    if best is None:
-        raise InternalError("no fair puzzle found at any size")
-    return MncResult(best[0], Coloring(best[1], side), best[2], len(candidates))
+    reps = list(canonical_colorings(graph, side))
+    owns = _orbit_leaders(graph, reps) if symmetry else range(len(reps))
+    smallest = {reps[j]: _lattice_extremes(_critical_chunks(agree, cells), cells)[:2]
+                for j, agree in zip(owns, _agreements(owns, reps, side, cells))}
+    boards = list(smallest) if symmetry else all_boards(2)
+    board = min(boards, key=lambda b: smallest[_palette_form(b)][0])
+    scs, clues = smallest[_palette_form(board)]
+    return MncResult(scs, Coloring(board, side), clues, len(boards))
 
 
 # ---------------------------------------------------------------------------

@@ -375,8 +375,8 @@ def test_sudoku_certify(capsys, tmp_path):
         assert (code, out) == (1, ""), cap
         assert len(err.splitlines()) == 1 and "--cap-extensions" in err, cap
     # the flag belongs to certify alone, not to the global options
-    with pytest.raises(SystemExit):
-        main(["--cap-extensions", "5", "sudoku", "certify", str(empty)])
+    code, out, err = run_cli(capsys, "--cap-extensions", "5", "sudoku", "certify", str(empty))
+    assert (code, out, len(err.splitlines())) == (1, "", 1) and err.startswith("error:")
 
 
 def test_reduce_command(capsys, tmp_path):
@@ -415,8 +415,8 @@ def test_reduce_verify_caps_h_before_building(capsys, tmp_path, monkeypatch):
     assert (code, out, built, list(tmp_path.iterdir())) == (2, "", [], [])
     assert err.splitlines() == ["size limit: verification caps H at 20 vertices (got 21)"]
     # the option that used to move the cap is gone
-    with pytest.raises(SystemExit):
-        main(["--max-vertices", "30", "params", "cycle:5"])
+    code, out, err = run_cli(capsys, "--max-vertices", "30", "params", "cycle:5")
+    assert (code, out, len(err.splitlines())) == (1, "", 1) and err.startswith("error:")
 
 
 def test_reduce_refuses_named_sources_before_building(capsys, monkeypatch):
@@ -511,6 +511,61 @@ def test_scan_rejects_jobs_below_one(capsys, tmp_path):
         assert len(err.splitlines()) == 1 and "--jobs" in err, jobs
     code, out, _ = run_cli(capsys, "--jobs", "1", "scan", str(path), "--check", "prop1")
     assert code == 0 and "graphs=1" in out
+
+
+def test_usage_errors_exit_1_with_one_line(capsys):
+    # argparse's own errors leave as input errors, not with its exit 2 (the
+    # size-limit code) and a usage line; --help still prints and exits 0
+    for argv in ([], ["params"], ["nosuch"], ["--jobs", "x", "table", "3"],
+                 ["reduce", "xx", "cycle:3"], ["sudoku", "mnc", "--k", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, len(err.splitlines())) == (1, "", 1), argv
+        assert err.startswith("error: critsets"), argv
+    assert run_cli(capsys, "params")[2] == (
+        "error: critsets params: the following arguments are required: source\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: critsets params")
+
+
+def test_scan_pool_is_capped_at_the_cpu_count(capsys, monkeypatch):
+    # a fake pool records its size and maps in process, so no worker is
+    # started; --jobs above the CPU count gets one worker per CPU, and a
+    # count of 1 (or an unknown one) runs in process with no pool
+    import multiprocessing
+
+    from critsets.scan import walk_graph6_lines
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    lines = ["Bw\n", "\n", "C~\n", "not graph6\n"]
+    serial = list(walk_graph6_lines(lines, 1))
+    for cpus, jobs, pool in ((3, 100000, [3]), (3, 2, [2]), (1, 100000, []),
+                             (None, 100000, []), (3, 1, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        del sizes[:]
+        assert list(walk_graph6_lines(lines, jobs)) == serial, (cpus, jobs)
+        assert sizes == pool, (cpus, jobs)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    del sizes[:]
+    code, out, err = run_cli(capsys, "--jobs", "100000", "table", "3")
+    assert (code, err, sizes) == (0, "", [2])
+    assert out == run_cli(capsys, "--jobs", "1", "table", "3")[1]
 
 
 def test_reduce_verify_rejects_samples_below_one(capsys, tmp_path):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from critsets.coloring import (
     Coloring,
+    _class_masks,
     _count,
     _orbit_leaders,
+    _palette_form,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -289,6 +291,37 @@ def test_scs_lcs_for_coloring():
         scs_lcs_for_coloring(c5, Coloring((0, 0, 1, 0, 1), 3))
 
 
+def test_scs_lcs_for_coloring_on_relabelled_colorings(monkeypatch):
+    # a coloring outside the palette-orbit representatives runs as its
+    # palette form, on either route: each relabelling must give the answer
+    # of the representative it relabels, and its witnesses must be critical
+    # sets of the relabelled coloring itself.  Disconnected graphs give
+    # components whose restriction is not in palette form even when the
+    # whole coloring is
+    rng = random.Random(25)
+    latin3 = cartesian_product(make_complete(3), make_complete(3))
+    cases = [(g, k) for n in range(6) for g in enumerate_graphs(n)
+             for k in (chromatic_number(g), chromatic_number(g) + 1)]
+    cases += [(make_cycle(9), 3), (latin3, 3), (sudoku_graph(2).graph, 4)]
+    for g, k in cases:
+        colorings = list(canonical_colorings(g, k))
+        for tup in colorings[::max(1, len(colorings) // 6)]:
+            answers = []
+            for pairs in (-1, 10**9):
+                monkeypatch.setattr("critsets.critical.LAZY_PAIRS", pairs)
+                expected = scs_lcs_for_coloring(g, Coloring(tup, k))
+                for _ in range(2):
+                    palette = list(range(k))
+                    rng.shuffle(palette)
+                    relabelled = Coloring(tuple(palette[c] for c in tup), k)
+                    got = scs_lcs_for_coloring(g, relabelled)
+                    assert got == expected, (g.adj, k, relabelled, pairs)
+                    for witness in (got.scs_witness, got.lcs_witness):
+                        assert is_critical(g, relabelled, witness).minimal, (g.adj, relabelled)
+                answers.append(expected)
+            assert answers[0] == answers[1], (g.adj, k, tup)
+
+
 def test_four_params_named_graphs():
     assert four_params(make_path(4)).values() == (1, 1, 1, 1)
     assert four_params(make_complete(4)).values() == (3, 3, 3, 3)
@@ -408,9 +441,9 @@ def test_difference_masks_match_determining_point_checks():
             chi = chromatic_number(g)
             for k in (chi, chi + 1):
                 reps = list(canonical_colorings(g, k))
-                for tup in reps:
+                for j, tup in enumerate(reps):
                     coloring = Coloring(tup, k)
-                    agree = next(_agreements([tup], reps, k, g.n))
+                    agree = next(_agreements([j], reps, k, g.n))
                     undetermined = _lattice_sets(_undetermined(agree, g.n), g.n)
                     for subset in range(1 << g.n):
                         determining = is_determining(g, coloring, subset)
@@ -458,12 +491,11 @@ def _brute_minimal_masks(g, k):
         yield tup, sorted(m for m in diffs if not any(s != m and not s & ~m for s in diffs))
 
 
-def _brute_transversals(masks, n, bound=None):
-    """The minimal transversals of `masks` of size at most `bound` (all
-    when None), by brute force over all vertex subsets."""
+def _brute_transversals(masks, n):
+    """The minimal transversals of `masks`, by brute force over all vertex
+    subsets."""
     hitting = {s for s in range(1 << n) if all(s & m for m in masks)}
-    return [s for s in hitting if not any(s ^ 1 << v in hitting for v in bits(s))
-            and (bound is None or s.bit_count() <= bound)]
+    return [s for s in hitting if not any(s ^ 1 << v in hitting for v in bits(s))]
 
 
 def test_difference_masks_match_definition(monkeypatch):
@@ -479,18 +511,16 @@ def test_difference_masks_match_definition(monkeypatch):
                 continue
             reps = list(canonical_colorings(g, k))
             for (tup, minimal), agree in zip(_brute_minimal_masks(g, k),
-                                             _agreements(reps, reps, k, g.n)):
+                                             _agreements(range(len(reps)), reps, k, g.n)):
                 critical = _lattice_sets(_critical_sets(_undetermined(agree, g.n), g.n), g.n)
                 assert critical == set(_brute_transversals(minimal, g.n)), (g.adj, k, tup)
 
 
-def _old_transversal_witnesses(masks, n, bound=None):
+def _old_transversal_witnesses(masks, n):
     """(scs, scs set, lcs, lcs set) over the minimal transversals of
-    `masks` of size at most `bound`, listed by brute force over all vertex
-    subsets and picked by the (size, sorted vertex list) key."""
-    found = _brute_transversals(masks, n, bound)
-    if not found:
-        return None
+    `masks`, listed by brute force over all vertex subsets and picked by
+    the (size, sorted vertex list) key."""
+    found = _brute_transversals(masks, n)
     scs = min(found, key=lambda m: (m.bit_count(), bits(m)))
     lcs = min(found, key=lambda m: (-m.bit_count(), bits(m)))
     return scs.bit_count(), scs, lcs.bit_count(), lcs
@@ -498,17 +528,14 @@ def _old_transversal_witnesses(masks, n, bound=None):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=7),
-                        st.none() | st.integers(0, n))))
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=7))))
 def test_transversal_witnesses_are_lexicographically_least(case):
     # the agreement sets of masks M are their complements, so the lattice
     # gives the extremes of Tr(M); the reference MMCS walk gives them too
-    n, masks, bound = case
-    expected = _old_transversal_witnesses(masks, n, bound)
-    chunks = _critical_chunks(_agreement_lattice(masks, n), n, bound)
-    assert _lattice_extremes(chunks, n, bound) == expected
-    if bound is None:
-        assert _extremes(_minimal_transversals(masks, n)) == expected
+    n, masks = case
+    expected = _old_transversal_witnesses(masks, n)
+    assert _lattice_extremes(_critical_chunks(_agreement_lattice(masks, n), n), n) == expected
+    assert _extremes(_minimal_transversals(masks, n)) == expected
 
 
 def _agreement_lattice(masks, n):
@@ -573,12 +600,10 @@ def test_lattice_chunks_match_the_walk_at_and_above_16_vertices():
         for dense in (True, False) * 4:
             masks = [(rng.getrandbits(n) if dense else rng.getrandbits(n) & rng.getrandbits(n))
                      | 1 << rng.randrange(n) for _ in range(rng.randint(1, 7))]
-            found = _minimal_transversals(masks, n)
-            for bound in (None, rng.randint(0, n)):
-                kept = [t for t in found if bound is None or t.bit_count() <= bound]
-                chunks = _critical_chunks(_agreement_lattice(masks, n), n, bound)
-                assert len(chunks) == (1 << max(n - 16, 0) if kept else 0), (n, masks, bound)
-                assert _lattice_extremes(chunks, n, bound) == _extremes(kept), (n, masks, bound)
+            chunks = _critical_chunks(_agreement_lattice(masks, n), n)
+            assert len(chunks) == 1 << max(n - 16, 0), (n, masks)
+            expected = _extremes(_minimal_transversals(masks, n))
+            assert _lattice_extremes(chunks, n) == expected, (n, masks)
 
 
 def test_lazy_route_matches_brute_force_masks():
@@ -601,9 +626,9 @@ def test_lazy_route_closes_each_round_lattice_once(monkeypatch):
     # C11 leader needs one round; latin:3 needs two on some leader
     lattices, formed = [], []
 
-    def chunks(agree, n, bound=None):
+    def chunks(agree, n):
         lattices.append(agree)
-        return _critical_chunks(agree, n, bound)
+        return _critical_chunks(agree, n)
 
     def critical_sets(undetermined, n):
         formed.append(undetermined)
@@ -631,10 +656,10 @@ def _differing(got, expected):
 
 
 def test_shared_pairs_give_each_owner_its_own_lattice():
-    # a pair of two owners among the representatives is worked once and
-    # its sets go to both; each owner's lattice must be the one it gets
-    # alone, with every representative owning (no orbit search) and with
-    # the orbit leaders owning
+    # a pair of two owners is worked once and its sets go to both; each
+    # owner's lattice must be the one it gets alone, with every
+    # representative owning (no orbit search) and with the orbit leaders
+    # owning
     rng = random.Random(22)
     cases = []
     for n in range(1, 8):
@@ -649,18 +674,33 @@ def test_shared_pairs_give_each_owner_its_own_lattice():
     cases += [(sudoku_graph(2).graph, 4), (latin3, 3)]
     for g, k in cases:
         reps = list(canonical_colorings(g, k))
-        alone = [next(_agreements([own], reps, k, g.n)) for own in reps]
-        assert _differing(_agreements(reps, reps, k, g.n), alone) == [], (g.adj, k)
+        alone = [next(_agreements([j], reps, k, g.n)) for j in range(len(reps))]
+        assert _differing(_agreements(range(len(reps)), reps, k, g.n), alone) == [], (g.adj, k)
         leaders = _orbit_leaders(g, reps)
-        assert _differing(_agreements([reps[i] for i in leaders], reps, k, g.n),
+        assert _differing(_agreements(leaders, reps, k, g.n),
                           [alone[i] for i in leaders]) == [], (g.adj, k)
-    # 276 of the 288 order-2 boards are not representatives, and their
-    # pairs stay one-sided
+
+
+def test_every_board_has_its_representatives_critical_sets():
+    # by definition: each of the 288 order-2 boards marks its agreement set
+    # with each of the 287 other boards, which are all the other proper
+    # 4-colorings, and its critical sets must be those of the kernel's
+    # lattice for its palette form, the one the kernel works
     g = sudoku_graph(2).graph
     reps = list(canonical_colorings(g, 4))
+    kernel = [_critical_sets(_undetermined(agree, 16), 16)
+              for agree in _agreements(range(len(reps)), reps, 4, 16)]
     boards = all_boards(2)
-    alone = [next(_agreements([board], reps, 4, 16)) for board in boards]
-    assert _differing(_agreements(boards, reps, 4, 16), alone) == []
+    assert len(boards) == 288
+    classes = [_class_masks(board[::-1], 4) for board in boards]  # lattice order
+    for board, own in zip(boards, classes):
+        direct = 0
+        for other in classes:
+            if other is not own:
+                direct |= 1 << (own[0] & other[0] | own[1] & other[1]
+                                | own[2] & other[2] | own[3] & other[3])
+        critical = _critical_sets(_undetermined(direct, 16), 16)
+        assert critical == kernel[reps.index(_palette_form(board))], board
 
 
 def test_orbit_search_budget_changes_no_answer(monkeypatch):
@@ -725,7 +765,7 @@ def _unpruned_four_params(g, k):
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
         rows = [(tup, *_lattice_extremes(_critical_chunks(agree, sub.n), sub.n))
-                for tup, agree in zip(tuples, _agreements(tuples, tuples, k, sub.n))]
+                for tup, agree in zip(tuples, _agreements(range(len(tuples)), tuples, k, sub.n))]
         components.append((verts, rows))
     out = {}
     for name, pick, i in zip(PARAM_NAMES, (min, max, min, max), (1, 1, 3, 3)):

@@ -4,12 +4,9 @@ import sys
 
 import pytest
 
-from critsets.coloring import Coloring, canonical_colorings, count_colorings_extending
+from critsets.coloring import Coloring, count_colorings_extending
 from critsets.critical import (
-    _agreements,
-    _critical_chunks,
     _critical_sets,
-    _lattice_extremes,
     four_params,
     is_determining,
 )
@@ -326,10 +323,10 @@ def test_mnc_exhaustive():
         mnc_exhaustive(3)
 
 
-def test_lattice_bound_below_scs_skips_the_critical_sets(monkeypatch):
-    # every board's smallest fair puzzle has 4 clues: below that bound no
-    # set is determining, which the down-closure shows before any critical
-    # set is formed; at 4 the unbounded answer's scs is found
+def test_mnc_reads_boards_off_one_pass_over_representatives(monkeypatch):
+    # one kernel pass over the owners forms one lattice of critical sets
+    # each: the 2 orbit leaders, or all 12 palette-orbit representatives
+    # without symmetry, however many of the 288 boards are compared
     formed = []
 
     def counted(undetermined, n):
@@ -337,22 +334,11 @@ def test_lattice_bound_below_scs_skips_the_critical_sets(monkeypatch):
         return _critical_sets(undetermined, n)
 
     monkeypatch.setattr("critsets.critical._critical_sets", counted)
-    s = sudoku_graph(2)
-    boards = all_boards(2)
-    reps = list(canonical_colorings(s.graph, 4))
-    for board, agree in zip(boards[::29], _agreements(boards[::29], reps, 4, 16)):
-        free = _lattice_extremes(_critical_chunks(agree, 16), 16)
-        assert free[0] == 4
+    for symmetry, owners, boards in ((True, 2, 2), (False, 12, 288)):
         del formed[:]
-        for bound in range(4):
-            assert _critical_chunks(agree, 16, bound) == [], (board, bound)
-        assert formed == []
-        assert _lattice_extremes(_critical_chunks(agree, 16, 4), 16, 4) == (4, free[1], 4, free[1])
-        assert formed == [16]
-    # so the exhaustive minimum forms critical sets on its first board only
-    del formed[:]
-    assert mnc_exhaustive(2, symmetry=False).min_clues == 4
-    assert formed == [16]
+        result = mnc_exhaustive(2, symmetry=symmetry)
+        assert (result.min_clues, result.boards_checked) == (4, boards)
+        assert formed == [16] * owners, symmetry
 
 
 def test_mnc_agrees_with_generic_engine():
