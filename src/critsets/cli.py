@@ -327,7 +327,19 @@ def cmd_reduce(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # an input error, not argparse's usage and exit 2
+    """Usage errors exit 1, not argparse's 2.  A subcommand's flag before
+    its subcommand gets its value taken for the subcommand: name the flag."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self.argv, namespace)
+
+    def error(self, message):
+        if message.startswith(("argument command: invalid", "argument action: invalid")):
+            for flag in (arg.partition("=")[0] for arg in self.argv if arg[:1] == "-"):
+                if not any(s.startswith(flag) for s in self._option_string_actions):
+                    message = f"unrecognized argument before the subcommand: {flag}"
+                    break
         raise InvalidParameterError(f"{self.prog}: {message}")
 
 

@@ -4,7 +4,7 @@ enumeration, and capped extension counting for partial assignments.
 Size rule: each exponential search refuses to walk more than
 `MAX_VERTICES` vertices: `chromatic_number` when it must count (per
 component on a disconnected graph), the enumeration here on the whole
-graph, `critical` per component.
+graph, `critical` per component (its colorful ones, for a given coloring).
 
 Colorings are quotiented by palette permutation throughout; the canonical
 orbit representative assigns colors in first-use order by vertex index.

@@ -7,8 +7,8 @@ Equivalently, S meets every difference mask {v : c(v) != c'(v)} over the
 other proper colorings c' (Sudoku's "unavoidable sets"), and S is critical
 iff moreover each of its vertices has a private mask that S meets nowhere
 else: the critical sets of c are the minimal transversals of its minimal
-difference masks M, Tr(M).  Two routes give their extremes for
-`scs_lcs_for_coloring` and `four_params`, chosen per component:
+difference masks M, Tr(M).  `four_params` picks one of two routes per
+component; `scs_lcs_for_coloring`, for a given c, takes the second alone:
 
 - The mask kernel (`_agreements`, `_critical_chunks`, then
   `_lattice_extremes`) compares c with every palette-orbit coloring, so its
@@ -21,8 +21,7 @@ difference masks M, Tr(M).  Two routes give their extremes for
   chunks of 2^16 bits, runs only above 16 positions.  The maximal color
   matchings behind the agreements depend only on the palette size and on
   which color cells meet, so one table per process (`_MATCHINGS`) serves
-  every call.  It works palette-orbit representatives only; any other
-  coloring runs as its palette form, which has the same agreement sets.
+  every call.  It works palette-orbit representatives only.
 - The lazy route (`_lazy_extremes`) compares c with no other coloring.
   The vertices that are not colorful lie in every determining set
   (`forced_vertices`), so it works on the lattice above with one position
@@ -32,17 +31,18 @@ difference masks M, Tr(M).  Two routes give their extremes for
   extension that the check finds, a mask T misses (the implicit
   hitting-set scheme of Moreno-Centeno and Karp, on the unavoidable sets
   of McGuire, Tugemann and Civario).  At the fixpoint Tr(F) = Tr(M), so
-  values and lexicographically least witnesses are the kernel's.
+  values and lexicographically least witnesses are the kernel's, at a
+  cost set by r = |colorful(c)|, not by n.
 
-The lazy route runs when a component's pairs exceed `LAZY_PAIRS`.  A sweep
-over C5-C13 and P8-P10 at k = 3, `latin:3`, `latin:4`, `sudoku:2`, K3 x K4,
-K4 x K5 and 60 random graphs on 5-12 vertices at chi and chi + 1 below
-Delta + 2, timing both routes in process up to 300000 pairs (2 vCPU,
-Python 3.11.7), found that pair count separates them poorly: the kernel
-was faster on some inputs up to 4096 pairs (36x on `latin:4`, 48 pairs,
-where F needs many rounds; 2x on K4 x K5, 4032 pairs, 20 positions on
-either route) and the lazy route on some from 384 pairs up (3.4x on C9's
-680) and on every input above 4096 (10x on C11's 7161).
+`four_params` takes the lazy route when a component's pairs exceed
+`LAZY_PAIRS`.  A sweep over C5-C13 and P8-P10 at k = 3, `latin:3`,
+`latin:4`, `sudoku:2`, K3 x K4, K4 x K5 and 60 random graphs on 5-12
+vertices at chi and chi + 1 below Delta + 2, timing both routes in process
+up to 300000 pairs (2 vCPU, Python 3.11.7), found that pair count separates
+them poorly: the kernel was faster on some inputs up to 4096 pairs (36x on
+`latin:4`, 48 pairs, where F needs many rounds; 2x on K4 x K5, 4032 pairs,
+20 positions on either route) and the lazy route on some from 384 pairs up
+(3.4x on C9's 680) and on every input above 4096 (10x on C11's 7161).
 
 Point checks on one given set go through `_determines` (behind
 `is_determining`, `is_critical` and the fair-puzzle certificate), which
@@ -72,12 +72,13 @@ Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
 a disconnected graph are sums of per-component extremes.  Palette size is
 the whole graph's, since components may not use all colors.  The size
-cap, `coloring.MAX_VERTICES`, is per component; point checks have none.
+cap, `coloring.MAX_VERTICES`, is per component, on its colorful vertices
+for a given coloring; point checks have none.
 
-Per component, the extremes run once per Aut x S_k orbit of colorings, not
-once per palette orbit: an automorphism s maps the critical sets of c to
-critical sets of c o s^-1 of the same sizes, so a whole orbit shares scs
-and lcs.  Either route runs on the earliest member of each orbit in
+In `four_params` the extremes run once per Aut x S_k orbit of colorings,
+not once per palette orbit: an automorphism s maps the critical sets of c
+to critical sets of c o s^-1 of the same sizes, so a whole orbit shares
+scs and lcs.  Either route runs on the earliest member of each orbit in
 `canonical_colorings` order (`coloring._orbit_leaders`, on the generators
 from `graphs.automorphism_generators`); the kernel still compares it with
 every palette-orbit representative.  That search pays only where orbits
@@ -94,7 +95,7 @@ with its own least set, on either side of the budget.
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -104,7 +105,6 @@ from .coloring import (
     _class_masks,
     _count,
     _orbit_leaders,
-    _palette_form,
     canonical_colorings,
     chromatic_number,
     colorful_vertices,
@@ -507,23 +507,26 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     difference masks grown lazily, on a lattice with one position per
     colorful vertex.
 
-    A vertex that is not colorful is a mask of M on its own, so the masks
-    of M are these singletons, which make up `forced_vertices`, and the
-    masks that lie inside colorful(c): Tr(M) is forced(c) plus the minimal
-    transversals of the latter.  F starts with the Kempe chains that miss
+    A vertex that is not colorful is a mask of M on its own, so the masks of
+    M are these singletons, which make up `forced_vertices`, and the masks
+    that lie inside colorful(c): Tr(M) is forced(c) plus the minimal
+    transversals of the latter.  It refuses c past `MAX_VERTICES` colorful
+    vertices, before any lattice.  F starts with the Kempe chains that miss
     forced(c): swapping colors a and b on one component of the subgraph on
     classes a and b gives another proper coloring that differs exactly
-    there.  Each mask marks the lattice bit of its complement in
-    colorful(c), and Tr(F) is read off the lattice as its critical sets.
-    While some T in Tr(F) does not determine c with forced(c) added, the
-    count behind `_determines` stops at two extensions, and F gains the
-    difference mask of one that is not c: it agrees with c on T and on
-    forced(c), so that mask lies inside colorful(c) and T misses it.  A
-    round lists Tr(F) once: a member that misses a mask added in the round
-    has left Tr(F), and one that hits them all is still in it (its private
-    masks stay), so only those are checked.  Sets checked stay checked.
-    The round that adds no mask lists Tr(F) = Tr(M), so the extremes are
-    read off that round's chunk list, with no second walk of the lattice.
+    there.  Such a chain holds both colors on colorful vertices, so only
+    pairs of colors held there are searched.  Each mask marks the lattice
+    bit of its complement in colorful(c), and Tr(F) is read off the lattice
+    as its critical sets.  While some T in Tr(F) does not determine c with
+    forced(c) added, the count behind `_determines` stops at two extensions,
+    and F gains the difference mask of one that is not c: it agrees with c
+    on T and on forced(c), so that mask lies inside colorful(c) and T misses
+    it.  A round lists Tr(F) once: a member that misses a mask added in the
+    round has left Tr(F), and one that hits them all is still in it (its
+    private masks stay), so only those are checked.  Sets checked stay
+    checked.  The round that adds no mask lists Tr(F) = Tr(M), so the
+    extremes are read off that round's chunk list, with no second walk of
+    the lattice.
 
     No mask of F need be minimal.  Each contains one of M, so every
     transversal of M is one of F.  Once every T in Tr(F) determines c,
@@ -532,21 +535,23 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     Tr(F) = Tr(M), with the same least witnesses: forced(c) is in every
     set, and the positions keep vertex order.
     """
-    n, k = g.n, coloring.k
+    n = g.n
     classes = coloring.class_masks
     colorful = colorful_vertices(g, coloring)
     forced = ((1 << n) - 1) ^ colorful
     verts = bits(colorful)
     r = len(verts)
+    if r > MAX_VERTICES:
+        raise SizeLimitError(
+            f"exact search capped at {MAX_VERTICES} colorful vertices per component (got {r})")
     spots = verts[::-1]  # lattice position p holds vertex spots[p]
     width, everywhere = 1 << min(r, 16), (1 << r) - 1
     own = [1 << c for c in coloring.colors]
     agree = 0  # the lattice bit of the positions outside each mask of F
-    for a in range(k):
-        for b in range(a + 1, k):
-            for chain in connected_components(g, classes[a] | classes[b]):
-                if not chain & forced:
-                    agree |= 1 << sum(1 << p for p, v in enumerate(spots) if not chain >> v & 1)
+    for a, b in combinations(sorted({coloring.colors[v] for v in verts}), 2):
+        for chain in connected_components(g, classes[a] | classes[b]):
+            if not chain & forced:
+                agree |= 1 << sum(1 << p for p, v in enumerate(spots) if not chain >> v & 1)
     checked: set[int] = set()
     while True:
         added = []  # masks found this round, as positions
@@ -603,21 +608,11 @@ def check_component_order(size: int):
             f"exact search capped at {MAX_VERTICES} vertices per component (got {size})")
 
 
-def _components(g: Graph) -> list[VertexSet]:
-    """The connected components of g, each refused past `MAX_VERTICES`
-    before any search starts."""
-    comps = connected_components(g)
-    for comp in comps:
-        check_component_order(comp.bit_count())
-    return comps
-
-
-def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Coloring | None = None):
+def _component_extremes(g: Graph, k: int, comps: list[VertexSet]):
     """Per connected component in `comps`: its vertices, and (colors, scs,
     scs set, lcs, lcs set) for the earliest palette-orbit representative of
-    each Aut x S_k orbit of its proper k-colorings, or only for the
-    restriction of `coloring` when given.  Colors and sets are in the
-    component's own indices; a given restriction runs as its palette form.
+    each Aut x S_k orbit of its proper k-colorings.  Colors and sets are in
+    the component's own indices.
 
     A component within `LATTICE_BUDGET` gets a row for every palette-orbit
     representative instead, with no automorphism search: its lattices are
@@ -630,16 +625,12 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet], coloring: Colo
     for comp in comps:
         # a connected g is its own component: no copy, no symmetry re-check
         sub, verts = (g, range(g.n)) if comp == (1 << g.n) - 1 else induced_subgraph(g, comp)
-        given = None if coloring is None else _palette_form(coloring.colors[v] for v in verts)
         if k >= max(map(len, sub.neighbor_lists)) + 2:
             everything = (1 << sub.n) - 1
-            first = next(canonical_colorings(sub, k)) if given is None else given
-            yield verts, [(first, sub.n, everything, sub.n, everything)]
+            yield verts, [(next(canonical_colorings(sub, k)), sub.n, everything, sub.n, everything)]
             continue
         tuples = list(canonical_colorings(sub, k))
-        if given is not None:
-            owns = [tuples.index(given)]
-        elif len(tuples) << sub.n <= LATTICE_BUDGET:
+        if len(tuples) << sub.n <= LATTICE_BUDGET:
             owns = range(len(tuples))
         else:
             owns = _orbit_leaders(sub, tuples)
@@ -675,10 +666,14 @@ _EXTREMES = (("uscs", min, _SCS), ("oscs", max, _SCS), ("ulcs", min, _LCS), ("ol
 
 
 def scs_lcs_for_coloring(g: Graph, coloring: Coloring) -> ScsLcs:
-    """Smallest and largest critical-set sizes for one fixed coloring."""
+    """Smallest and largest critical-set sizes for one fixed coloring, with
+    least witnesses, from the lazy route on each component's restriction."""
     _check_proper(g, coloring)
-    per_component = _component_extremes(g, coloring.k, _components(g), coloring)
-    chosen = [(verts, rows[0]) for verts, rows in per_component]
+    chosen = []
+    for comp in connected_components(g):
+        sub, verts = (g, range(g.n)) if comp == (1 << g.n) - 1 else induced_subgraph(g, comp)
+        part = Coloring(tuple(coloring.colors[v] for v in verts), coloring.k)
+        chosen.append((verts, (part.colors, *_lazy_extremes(sub, part))))
     scs, _, scs_set = _lift(g.n, chosen, _SCS)
     lcs, _, lcs_set = _lift(g.n, chosen, _LCS)
     return ScsLcs(scs, lcs, scs_set, lcs_set)
@@ -691,7 +686,9 @@ def four_params(g: Graph, k: int | None = None) -> ParamQuad:
     Above chi, colorings need not use every color, so values can differ
     from the k = chi case and the n-1 upper bound need not apply.
     """
-    comps = _components(g)
+    comps = connected_components(g)
+    for comp in comps:  # each refused before any search starts
+        check_component_order(comp.bit_count())
     chi = chromatic_number(g)
     if k is None:
         k = chi

@@ -148,7 +148,7 @@ def reduce_olcs(h: Graph) -> ReductionInstance:
     Erratum: as built the converse fails.  Replicas have one neighbor, so
     they and 2 triangle corners lie in every determining set, and every
     critical set has at least |V2| + 2 = k vertices whatever h is (on K4,
-    pruned samples give certified critical sets of 174 >= k = 170)."""
+    exact, not a pruning artefact: samples have scs = lcs = 174 >= 170)."""
     m = h.m
     replicas = 2 * m + 2
     incident = [sorted((min(u, w), max(u, w)) for w in ws) for u, ws in enumerate(h.neighbor_lists)]

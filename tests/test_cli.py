@@ -523,6 +523,16 @@ def test_usage_errors_exit_1_with_one_line(capsys):
         assert err.startswith("error: critsets"), argv
     assert run_cli(capsys, "params")[2] == (
         "error: critsets params: the following arguments are required: source\n")
+    # a subcommand's flag before the subcommand is named, not its value
+    # taken for the subcommand; global flags there keep working
+    for argv in (["--cap-extensions", "5", "sudoku", "certify", "f"],
+                 ["--seed", "1", "--cap-extensions", "5", "sudoku", "certify", "f"],
+                 ["sudoku", "--cap-extensions", "5", "certify", "f"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, len(err.splitlines())) == (1, "", 1), argv
+        assert err.endswith(": unrecognized argument before the subcommand: --cap-extensions\n"), argv
+    assert run_cli(capsys, "--seed", "1", "--format", "csv", "params", "empty:1")[:2] == (
+        0, "source,n,m,chi,k,uscs,oscs,ulcs,olcs\r\nempty:1,1,0,1,1,0,0,0,0\r\n")
     with pytest.raises(SystemExit) as exc:
         main(["params", "--help"])
     assert exc.value.code == 0

@@ -291,35 +291,93 @@ def test_scs_lcs_for_coloring():
         scs_lcs_for_coloring(c5, Coloring((0, 0, 1, 0, 1), 3))
 
 
-def test_scs_lcs_for_coloring_on_relabelled_colorings(monkeypatch):
-    # a coloring outside the palette-orbit representatives runs as its
-    # palette form, on either route: each relabelling must give the answer
-    # of the representative it relabels, and its witnesses must be critical
-    # sets of the relabelled coloring itself.  Disconnected graphs give
-    # components whose restriction is not in palette form even when the
-    # whole coloring is
+def test_scs_lcs_for_coloring_on_relabelled_colorings():
+    # the lazy route compares a coloring with no other one, so a coloring
+    # outside the palette-orbit representatives runs as itself: every
+    # palette-orbit coloring and a relabelling of it must give the mask
+    # kernel's row for its palette form, from agreements with every
+    # representative, and the witnesses must be critical sets of the
+    # relabelled coloring itself.  Disconnected graphs give components
+    # whose restriction is not in palette form even when the whole
+    # coloring is
     rng = random.Random(25)
     latin3 = cartesian_product(make_complete(3), make_complete(3))
-    cases = [(g, k) for n in range(6) for g in enumerate_graphs(n)
+    latin4 = cartesian_product(make_complete(4), make_complete(4))
+    cases = [(g, k) for n in range(7) for g in enumerate_graphs(n)
              for k in (chromatic_number(g), chromatic_number(g) + 1)]
-    cases += [(make_cycle(9), 3), (latin3, 3), (sudoku_graph(2).graph, 4)]
+    cases += [(make_cycle(9), 3), (latin3, 3), (latin4, 4), (sudoku_graph(2).graph, 4)]
     for g, k in cases:
-        colorings = list(canonical_colorings(g, k))
-        for tup in colorings[::max(1, len(colorings) // 6)]:
-            answers = []
-            for pairs in (-1, 10**9):
-                monkeypatch.setattr("critsets.critical.LAZY_PAIRS", pairs)
-                expected = scs_lcs_for_coloring(g, Coloring(tup, k))
-                for _ in range(2):
-                    palette = list(range(k))
-                    rng.shuffle(palette)
-                    relabelled = Coloring(tuple(palette[c] for c in tup), k)
-                    got = scs_lcs_for_coloring(g, relabelled)
-                    assert got == expected, (g.adj, k, relabelled, pairs)
-                    for witness in (got.scs_witness, got.lcs_witness):
-                        assert is_critical(g, relabelled, witness).minimal, (g.adj, relabelled)
-                answers.append(expected)
-            assert answers[0] == answers[1], (g.adj, k, tup)
+        components = _kernel_components(g, k)
+        for tup in canonical_colorings(g, k):
+            palette = list(range(k))
+            rng.shuffle(palette)
+            for coloring in (Coloring(tup, k), Coloring(tuple(palette[c] for c in tup), k)):
+                got = scs_lcs_for_coloring(g, coloring)
+                assert got == _kernel_scs_lcs(components, coloring), (g.adj, coloring)
+                for witness in (got.scs_witness, got.lcs_witness):
+                    assert is_critical(g, coloring, witness).minimal, (g.adj, coloring)
+
+
+def test_scs_lcs_for_coloring_enumerates_no_other_coloring(monkeypatch):
+    # a given coloring takes the lazy route alone: neither the palette-orbit
+    # enumeration nor the mask kernel runs, and no component is refused for
+    # its vertex count.  C19's first coloring has 3 colorful vertices; at
+    # k = 4 no vertex of C25 is colorful, so V is its one critical set
+    c19 = make_cycle(19)
+    first = Coloring(next(canonical_colorings(c19, 3)), 3)
+
+    def refuse(*args):
+        raise AssertionError("a given coloring reached the enumeration or the kernel")
+
+    monkeypatch.setattr("critsets.critical.canonical_colorings", refuse)
+    monkeypatch.setattr("critsets.critical._agreements", refuse)
+    res = scs_lcs_for_coloring(c19, first)
+    assert (res.scs, res.lcs) == (17, 18)
+    for witness in (res.scs_witness, res.lcs_witness):
+        assert is_critical(c19, first, witness).minimal
+    c25 = make_cycle(25)
+    res = scs_lcs_for_coloring(c25, Coloring(tuple(v % 3 for v in range(24)) + (3,), 4))
+    assert (res.scs, res.lcs) == (25, 25)
+
+
+def test_per_coloring_cap_counts_colorful_vertices_before_any_lattice(monkeypatch):
+    # a min-lcs gadget sample of latin:3 has 289 colorful vertices in one
+    # component: it is refused (exit 2 through the CLI) before a lattice is
+    # built
+    def no_lattice(agree, n):
+        raise AssertionError("a lattice was built past the cap")
+
+    monkeypatch.setattr("critsets.critical._critical_chunks", no_lattice)
+    g = reduce_ulcs(cartesian_product(make_complete(3), make_complete(3))).graph
+    coloring = sample_proper_coloring(g, 3, random.Random(0))
+    with pytest.raises(SizeLimitError,
+                       match=r"^exact search capped at 20 colorful vertices per component \(got 289\)$"):
+        scs_lcs_for_coloring(g, coloring)
+
+
+def test_kempe_chains_only_between_colors_on_colorful_vertices(monkeypatch):
+    # a chain that misses forced(c) holds both its colors on colorful
+    # vertices, so only those color pairs are searched: at k = 100000 no
+    # vertex of path:2 is colorful, and the lazy route runs but searches no
+    # chain (a search over all k^2 / 2 pairs would not end, so the first
+    # one fails the test)
+    runs = []
+
+    def components(g, within=None):
+        if runs and runs[-1] is None:
+            raise AssertionError("the lazy route searched a Kempe chain")
+        return connected_components(g, within)
+
+    def lazy(g, coloring):
+        runs.append(None)  # open while the route runs
+        runs[-1] = _lazy_extremes(g, coloring)
+        return runs[-1]
+
+    monkeypatch.setattr("critsets.critical.connected_components", components)
+    monkeypatch.setattr("critsets.critical._lazy_extremes", lazy)
+    res = scs_lcs_for_coloring(make_path(2), Coloring((0, 1), 100000))
+    assert (res.scs, res.lcs, res.scs_witness, res.lcs_witness) == (2, 2, 0b11, 0b11)
+    assert len(runs) == 1
 
 
 def test_four_params_named_graphs():
@@ -727,7 +785,9 @@ def test_orbit_search_budget_changes_no_answer(monkeypatch):
 
 
 def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
-    # the route is chosen by pair count alone, so each is forced in turn;
+    # four_params' route is chosen by pair count alone, so each is forced in
+    # turn (a given coloring takes the lazy route alone, and is checked
+    # against the kernel in test_scs_lcs_for_coloring_on_relabelled_colorings);
     # sudoku:2, latin:3 and latin:4 need two lazy rounds, the cycles one;
     # latin:4 with a pendant vertex has 17 vertices, so the kernel's
     # lattice is cut into two chunks, and with a vertex joined to three
@@ -745,14 +805,41 @@ def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = g.relabel(perm)
-        one = Coloring(next(canonical_colorings(g, k)), k)
         rows = []
         for pairs in (-1, 10**9):
             monkeypatch.setattr("critsets.critical.LAZY_PAIRS", pairs)
-            comps = connected_components(g)
-            rows.append((list(_component_extremes(g, k, comps)),
-                         list(_component_extremes(g, k, comps, one))))
+            rows.append(list(_component_extremes(g, k, connected_components(g))))
         assert rows[0] == rows[1], (g.adj, k)
+
+
+def _kernel_components(g, k):
+    """Per connected component of g: its vertices, and {colors: (colors,
+    scs, scs set, lcs, lcs set)} by the lattice kernel on every
+    palette-orbit coloring, in enumeration order, each from its agreements
+    with all of them: no orbit pruning and no lazy route."""
+    components = []
+    for comp in connected_components(g):
+        sub, verts = induced_subgraph(g, comp)
+        tuples = list(canonical_colorings(sub, k))
+        lattices = _agreements(range(len(tuples)), tuples, k, sub.n)
+        rows = {tup: (tup, *_lattice_extremes(_critical_chunks(agree, sub.n), sub.n))
+                for tup, agree in zip(tuples, lattices)}
+        components.append((verts, rows))
+    return components
+
+
+def _kernel_scs_lcs(components, coloring):
+    """(scs, lcs, scs set, lcs set) of `coloring` by the kernel: per
+    `_kernel_components` component, the row of the palette form of its
+    restriction, which has the same agreement sets, lifted to g."""
+    scs = lcs = scs_set = lcs_set = 0
+    for verts, rows in components:
+        _, low, low_set, high, high_set = rows[_palette_form(coloring.colors[v] for v in verts)]
+        scs += low
+        lcs += high
+        scs_set |= mask_of(verts[j] for j in bits(low_set))
+        lcs_set |= mask_of(verts[j] for j in bits(high_set))
+    return scs, lcs, scs_set, lcs_set
 
 
 def _unpruned_four_params(g, k):
@@ -760,18 +847,12 @@ def _unpruned_four_params(g, k):
     palette-orbit coloring of each component, with no orbit pruning: per
     component the first coloring attaining each extreme, with its least
     set, lifted to g."""
-    components = []
-    for comp in connected_components(g):
-        sub, verts = induced_subgraph(g, comp)
-        tuples = list(canonical_colorings(sub, k))
-        rows = [(tup, *_lattice_extremes(_critical_chunks(agree, sub.n), sub.n))
-                for tup, agree in zip(tuples, _agreements(range(len(tuples)), tuples, k, sub.n))]
-        components.append((verts, rows))
+    components = _kernel_components(g, k)
     out = {}
     for name, pick, i in zip(PARAM_NAMES, (min, max, min, max), (1, 1, 3, 3)):
         total, colors, subset = 0, [0] * g.n, 0
         for verts, rows in components:
-            row = pick(rows, key=lambda r: r[i])
+            row = pick(rows.values(), key=lambda r: r[i])
             total += row[i]
             for j, v in enumerate(verts):
                 colors[v] = row[0][j]
@@ -859,7 +940,9 @@ def test_size_limit_and_override():
     k21 = make_complete(21)
     with pytest.raises(SizeLimitError, match="20 vertices per component"):
         four_params(k21)
-    with pytest.raises(SizeLimitError, match="20 vertices per component"):
+    # a given coloring is capped by its colorful vertices, here all 21
+    with pytest.raises(SizeLimitError,
+                       match=r"^exact search capped at 20 colorful vertices per component \(got 21\)$"):
         scs_lcs_for_coloring(k21, Coloring(tuple(range(21)), 21))
     from critsets.graphs import disjoint_union
 

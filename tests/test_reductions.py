@@ -12,7 +12,13 @@ from critsets.coloring import (
     colorful_vertices,
     sample_proper_coloring,
 )
-from critsets.critical import forced_vertices, four_params, is_determining
+from critsets.critical import (
+    forced_vertices,
+    four_params,
+    is_critical,
+    is_determining,
+    scs_lcs_for_coloring,
+)
 from critsets.errors import InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     Graph,
@@ -224,6 +230,26 @@ def test_verify_certificate_modes():
     assert rep.mode == "certificate" and rep.consistent
     assert (rep.g_vertices, rep.k) == (2091, 2054)
     assert rep.detail.startswith("certified critical set of size 2079 ")
+
+
+def test_max_lcs_gadgets_answer_per_coloring():
+    # each component of these gadgets has at most 3 colorful vertices under
+    # a sampled 3-coloring, so the gadgets answer exactly, with no cap on
+    # their order, and `is_critical` certifies both witnesses.  The
+    # max-lcs erratum (see reduce_olcs) is exact, not a pruning artefact:
+    # K4 is not 3-colorable, yet every sample has scs = lcs = 174 >= k = 170.
+    # C5 and latin:3 give 67 and 2063
+    latin3 = cartesian_product(make_complete(3), make_complete(3))
+    for h, value, k in ((make_complete(4), 174, 170), (make_cycle(5), 67, 62), (latin3, 2063, 2054)):
+        instance = reduce_olcs(h)
+        assert instance.k == k
+        g = instance.graph
+        for seed in range(3):
+            coloring = sample_proper_coloring(g, 3, random.Random(seed))
+            res = scs_lcs_for_coloring(g, coloring)
+            assert (res.scs, res.lcs) == (value, value), (h.adj, seed)
+            for witness in (res.scs_witness, res.lcs_witness):
+                assert is_critical(g, coloring, witness).minimal, (h.adj, seed)
 
 
 def _ulcs_by_hand(h, replicas, triangle=True):
