@@ -9,11 +9,10 @@ Exit codes: 0 success, 1 input error (undecodable input text and usage
 errors too), 2 size limit (memory running out too), 3 invariant breach or
 any other exception; every failure prints one line on stderr.
 
-No option moves a size limit: each exact search refuses what it would
-walk above `coloring.MAX_VERTICES` vertices (see there), `params` refuses
-a named source with a component over that cap before building it, and
-`reduce` refuses a gadget graph6 cannot write before building it (and,
-for a named H, before building H).
+No option moves a size limit.  The exact searches follow the size rule
+in `coloring` (`check_search`), and every graph6 output the one limit of
+`graphs.check_graph6_order`; `reduce` applies it to a gadget before
+building it (and, for a named H, before building H).
 
 Start-up loads graphs, coloring, critical and errors, which every
 subcommand runs.  The rest is imported by the code that runs it: scan by
@@ -34,8 +33,8 @@ import sys
 from math import comb
 
 from . import graphs
-from .coloring import Coloring, chromatic_number
-from .critical import CHECKS, PARAM_NAMES, ParamQuad, check_component_order, four_params
+from .coloring import Coloring, check_search, chromatic_number
+from .critical import CHECKS, PARAM_NAMES, ParamQuad, four_params
 from .errors import (
     CritsetsError,
     Graph6Error,
@@ -90,7 +89,7 @@ def load_graph_source(src: str, exact: bool = False, variant: str | None = None)
             if n >= 0 and name in _COUNTS:
                 *counts, largest = _COUNTS[name](n)
                 if exact:
-                    check_component_order(largest)
+                    check_search(largest, "vertices per component")
                 if variant:
                     from .reductions import gadget_order_of
 

@@ -1,10 +1,13 @@
 """Exact coloring computations: chromatic number, palette-orbit coloring
 enumeration, and capped extension counting for partial assignments.
 
-Size rule: each exponential search refuses to walk more than
-`MAX_VERTICES` vertices: `chromatic_number` when it must count (per
-component on a disconnected graph), the enumeration here on the whole
-graph, `critical` per component (its colorful ones, for a given coloring).
+Size rule: every exact search is exponential, so each refuses through
+`check_search` what it would walk past `MAX_VERTICES` (exit 2 through the
+CLI), before it starts: `chromatic_number`'s count per component, the
+enumeration here on the whole graph, `critical.four_params` per component
+before chi, the per-coloring route per component on its colorful
+vertices, `params` on a named source's largest component before building
+it, and `reductions` on H before verifying.  No option moves the cap.
 
 Colorings are quotiented by palette permutation throughout; the canonical
 orbit representative assigns colors in first-use order by vertex index.
@@ -31,6 +34,13 @@ from .graphs import (
 )
 
 MAX_VERTICES = 20  # most vertices one exponential search walks
+
+
+def check_search(size: int, what: str):
+    """Refuse an exact search over `size` of `what` past `MAX_VERTICES`: the
+    one place the size rule (module docstring) raises `SizeLimitError`."""
+    if size > MAX_VERTICES:
+        raise SizeLimitError(f"exact search capped at {MAX_VERTICES} {what} (got {size})")
 
 
 class Coloring:
@@ -226,10 +236,11 @@ def chromatic_number(g: Graph) -> int:
     and a greedy clique from each start vertex, in the same order, a lower
     bound and a pin.  The clique search stops at a clique of hi vertices,
     which proves chi = hi with no count at all; otherwise each k from the
-    clique size up to hi - 1 is tried by `_count`, with the clique pinned to
-    distinct colors.  Above `MAX_VERTICES` vertices that count is refused,
-    unless g is disconnected: then chi is the largest chi of a component,
-    and each component answers (or refuses) on its own.
+    clique size up to hi - 1 is tried by `count_colorings_extending`, with
+    the clique pinned to distinct colors.  Above `MAX_VERTICES` vertices
+    that count is refused (`check_search`), unless g is disconnected: then
+    chi is the largest chi of a component, and each component answers (or
+    refuses) on its own.
     """
     if g.n == 0:
         return 0
@@ -242,17 +253,11 @@ def chromatic_number(g: Graph) -> int:
         comps = connected_components(g)
         if len(comps) > 1:
             return max(chromatic_number(induced_subgraph(g, comp)[0]) for comp in comps)
-        raise SizeLimitError(f"counting for chi is capped at {MAX_VERTICES} vertices (got {g.n})")
-    nbrs = g.neighbor_lists
+        check_search(g.n, "vertices per component")
+    # pin a clique to distinct colors: breaks palette symmetry
+    pins = {v: i for i, v in enumerate(bits(clique))}
     for k in range(clique.bit_count(), hi):
-        full = (1 << k) - 1
-        allowed = [full] * g.n
-        queue = []
-        # pin a clique to distinct colors: breaks palette symmetry
-        for i, v in enumerate(bits(clique)):
-            allowed[v] = 1 << i
-            queue.append(v)
-        if _count(nbrs, allowed, bytearray(g.n), queue, 1):
+        if count_colorings_extending(g, k, pins, 1):
             return k
     return hi
 
@@ -358,8 +363,7 @@ def _orbit_leaders(g: Graph, tuples: list[tuple[int, ...]]) -> list[int]:
 
 def enumerate_optimal_colorings(g: Graph) -> Iterator[Coloring]:
     """One canonical representative per orbit of proper chi(g)-colorings."""
-    if g.n > MAX_VERTICES:
-        raise SizeLimitError(f"coloring enumeration capped at {MAX_VERTICES} vertices (got {g.n})")
+    check_search(g.n, "vertices")
     k = chromatic_number(g)
     for tup in canonical_colorings(g, k):
         yield Coloring(tup, k)

@@ -72,8 +72,7 @@ Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
 a disconnected graph are sums of per-component extremes.  Palette size is
 the whole graph's, since components may not use all colors.  The size
-cap, `coloring.MAX_VERTICES`, is per component, on its colorful vertices
-for a given coloring; point checks have none.
+rule is `coloring.check_search`'s; point checks have none.
 
 In `four_params` the extremes run once per Aut x S_k orbit of colorings,
 not once per palette orbit: an automorphism s maps the critical sets of c
@@ -100,16 +99,16 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .coloring import (
-    MAX_VERTICES,
     Coloring,
     _class_masks,
     _count,
     _orbit_leaders,
     canonical_colorings,
+    check_search,
     chromatic_number,
     colorful_vertices,
 )
-from .errors import InternalError, InvalidParameterError, SizeLimitError
+from .errors import InternalError, InvalidParameterError
 from .graphs import Graph, VertexSet, bits, connected_components, induced_subgraph, mask_of, reach
 
 PARAM_NAMES = ("uscs", "oscs", "ulcs", "olcs")
@@ -510,7 +509,7 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     A vertex that is not colorful is a mask of M on its own, so the masks of
     M are these singletons, which make up `forced_vertices`, and the masks
     that lie inside colorful(c): Tr(M) is forced(c) plus the minimal
-    transversals of the latter.  It refuses c past `MAX_VERTICES` colorful
+    transversals of the latter.  `coloring.check_search` caps c's colorful
     vertices, before any lattice.  F starts with the Kempe chains that miss
     forced(c): swapping colors a and b on one component of the subgraph on
     classes a and b gives another proper coloring that differs exactly
@@ -541,9 +540,7 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     forced = ((1 << n) - 1) ^ colorful
     verts = bits(colorful)
     r = len(verts)
-    if r > MAX_VERTICES:
-        raise SizeLimitError(
-            f"exact search capped at {MAX_VERTICES} colorful vertices per component (got {r})")
+    check_search(r, "colorful vertices per component")
     spots = verts[::-1]  # lattice position p holds vertex spots[p]
     width, everywhere = 1 << min(r, 16), (1 << r) - 1
     own = [1 << c for c in coloring.colors]
@@ -601,13 +598,6 @@ LAZY_PAIRS = 4096
 LATTICE_BUDGET = 1280
 
 
-def check_component_order(size: int):
-    """Refuse a connected component of `size` vertices past `MAX_VERTICES`."""
-    if size > MAX_VERTICES:
-        raise SizeLimitError(
-            f"exact search capped at {MAX_VERTICES} vertices per component (got {size})")
-
-
 def _component_extremes(g: Graph, k: int, comps: list[VertexSet]):
     """Per connected component in `comps`: its vertices, and (colors, scs,
     scs set, lcs, lcs set) for the earliest palette-orbit representative of
@@ -623,8 +613,7 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet]):
     is colorful, so V is the only critical set of every coloring, and its
     one row holds the first palette-orbit coloring."""
     for comp in comps:
-        # a connected g is its own component: no copy, no symmetry re-check
-        sub, verts = (g, range(g.n)) if comp == (1 << g.n) - 1 else induced_subgraph(g, comp)
+        sub, verts = induced_subgraph(g, comp)
         if k >= max(map(len, sub.neighbor_lists)) + 2:
             everything = (1 << sub.n) - 1
             yield verts, [(next(canonical_colorings(sub, k)), sub.n, everything, sub.n, everything)]
@@ -671,7 +660,7 @@ def scs_lcs_for_coloring(g: Graph, coloring: Coloring) -> ScsLcs:
     _check_proper(g, coloring)
     chosen = []
     for comp in connected_components(g):
-        sub, verts = (g, range(g.n)) if comp == (1 << g.n) - 1 else induced_subgraph(g, comp)
+        sub, verts = induced_subgraph(g, comp)
         part = Coloring(tuple(coloring.colors[v] for v in verts), coloring.k)
         chosen.append((verts, (part.colors, *_lazy_extremes(sub, part))))
     scs, _, scs_set = _lift(g.n, chosen, _SCS)
@@ -688,7 +677,7 @@ def four_params(g: Graph, k: int | None = None) -> ParamQuad:
     """
     comps = connected_components(g)
     for comp in comps:  # each refused before any search starts
-        check_component_order(comp.bit_count())
+        check_search(comp.bit_count(), "vertices per component")
     chi = chromatic_number(g)
     if k is None:
         k = chi

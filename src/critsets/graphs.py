@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import base64
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .errors import Graph6Error, InvalidParameterError, SizeLimitError
 
@@ -271,8 +272,12 @@ def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
 
 
-def induced_subgraph(g: Graph, vertex_mask: VertexSet) -> tuple[Graph, list[int]]:
-    """Induced subgraph plus the list mapping new index -> original vertex."""
+def induced_subgraph(g: Graph, vertex_mask: VertexSet) -> tuple[Graph, Sequence[int]]:
+    """Induced subgraph plus the sequence mapping new index -> original
+    vertex.  The full mask gives g itself and `range(g.n)`: no copy, and
+    whatever g has cached (neighbour lists, symmetry) is kept."""
+    if vertex_mask == (1 << g.n) - 1:
+        return g, range(g.n)
     verts = bits(vertex_mask)
     pos = {v: i for i, v in enumerate(verts)}
     rows = []
@@ -293,16 +298,20 @@ _G6_FROM_BASE64 = bytes.maketrans(
 )
 
 
+def check_graph6_order(n: int, what: str):
+    """Refuse a `what` of n vertices that graph6 cannot write: the one
+    output check of `_G6_MAX_LONG`, for `emit_graph6` and for the gadgets
+    `reductions` sizes before building them."""
+    if n > _G6_MAX_LONG:
+        raise SizeLimitError(f"{what} of {n} vertices is over the graph6 limit of {_G6_MAX_LONG}")
+
+
 def emit_graph6(g: Graph) -> str:
     """Standard graph6 encoding: size header, then the upper triangle in
     column-major order packed into 6-bit printable chunks."""
     n = g.n
-    if n <= 62:
-        head = chr(63 + n)
-    elif n <= _G6_MAX_LONG:
-        head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-    else:
-        raise InvalidParameterError(f"graph6 output capped at {_G6_MAX_LONG} vertices")
+    check_graph6_order(n, "graph")
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     # Columns 1..48m hold 24m(48m + 1) bits, whole 24-bit base64 groups, so
     # each block of 48 columns packs on its own and the bit string stays
     # small; only the last block needs zero padding.  Blocks are translated

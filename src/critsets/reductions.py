@@ -27,13 +27,14 @@ from .coloring import (
     MAX_VERTICES,
     Coloring,
     canonical_colorings,
+    check_search,
     chromatic_number,
     colorful_vertices,
     sample_proper_coloring,
 )
 from .critical import four_params, is_critical, prune_to_critical
-from .errors import InvalidParameterError, SizeLimitError
-from .graphs import _G6_MAX_LONG, Graph
+from .errors import InvalidParameterError
+from .graphs import Graph, check_graph6_order
 
 ULCS = "ulcs"
 OLCS = "olcs"
@@ -118,9 +119,7 @@ def gadget_order_of(n: int, m: int, pairs: int, variant: str) -> int:
         order = 2 * m + (2 * m + 2) * pairs + 3
     else:
         raise InvalidParameterError(f"unknown variant {variant!r}")
-    if order > _G6_MAX_LONG:
-        raise SizeLimitError(
-            f"{variant} gadget of {order} vertices is over the graph6 limit of {_G6_MAX_LONG}")
+    check_graph6_order(order, f"{variant} gadget")
     return order
 
 
@@ -230,12 +229,12 @@ def verify_reduction_small(h: Graph, variant: str, mode: str = "auto", samples: 
 
 def check_verify_inputs(h: Graph, samples: int) -> bool:
     """Whether h is 3-colorable, after rejecting a sample count below 1 and
-    an h over `MAX_VERTICES`.  `verify_instance` starts with this; it needs
-    no gadget, so the CLI calls it before building one."""
+    an h over the size rule (`coloring.check_search`).  `verify_instance`
+    starts with this; it needs no gadget, so the CLI calls it before
+    building one."""
     if samples < 1:
         raise InvalidParameterError(f"samples must be at least 1 (got {samples})")
-    if h.n > MAX_VERTICES:
-        raise SizeLimitError(f"verification caps H at {MAX_VERTICES} vertices (got {h.n})")
+    check_search(h.n, "vertices of H")
     return h.n == 0 or chromatic_number(h) <= 3
 
 

@@ -12,7 +12,14 @@ import pytest
 import critsets
 from critsets.cli import GENERATORS, load_graph_source, main
 from critsets.errors import InvalidParameterError
-from critsets.graphs import emit_graph6, enumerate_graphs, make_complete, make_cycle, parse_graph6
+from critsets.graphs import (
+    emit_graph6,
+    enumerate_graphs,
+    make_complete,
+    make_cycle,
+    make_empty,
+    parse_graph6,
+)
 from critsets.sudoku import canonical_board, format_board, mnc_exhaustive
 
 
@@ -286,7 +293,7 @@ def test_atlas_out_is_opened_before_the_enumeration(capsys, tmp_path, monkeypatc
     assert err.startswith("error:") and "x.g6" in err
 
 
-def test_atlas_command(capsys, tmp_path):
+def test_atlas_command(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "atlas", "5")
     assert code == 0
     lines = [l for l in out.splitlines() if l]
@@ -302,6 +309,12 @@ def test_atlas_command(capsys, tmp_path):
         code, out, err = run_cli(capsys, "atlas", n, "--out", str(out_file))
         assert (code, out, len(err.splitlines())) == (want, "", 1), n
         assert len(out_file.read_text().splitlines()) == 11, n
+    # a graph that graph6 cannot write is a size limit too
+    monkeypatch.setattr("critsets.graphs.atlas_graphs", lambda n: [make_empty(258048)])
+    code, out, err = run_cli(capsys, "atlas", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "size limit: graph of 258048 vertices is over the graph6 limit of 258047"]
 
 
 def test_sudoku_gen(capsys):
@@ -413,7 +426,7 @@ def test_reduce_verify_caps_h_before_building(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "reduce", "ulcs", "complete:21",
                              "--verify", "--out", str(tmp_path / "g"))
     assert (code, out, built, list(tmp_path.iterdir())) == (2, "", [], [])
-    assert err.splitlines() == ["size limit: verification caps H at 20 vertices (got 21)"]
+    assert err.splitlines() == ["size limit: exact search capped at 20 vertices of H (got 21)"]
     # the option that used to move the cap is gone
     code, out, err = run_cli(capsys, "--max-vertices", "30", "params", "cycle:5")
     assert (code, out, len(err.splitlines())) == (1, "", 1) and err.startswith("error:")

@@ -31,7 +31,7 @@ from critsets.reductions import reduce_olcs, reduce_ulcs
 from critsets.sudoku import sudoku_graph
 
 
-def test_chromatic_number_examples():
+def test_chromatic_number_examples(monkeypatch):
     assert chromatic_number(make_cycle(5)) == 3
     assert chromatic_number(make_path(4)) == 2
     assert chromatic_number(make_complete(4)) == 4
@@ -39,17 +39,25 @@ def test_chromatic_number_examples():
     assert chromatic_number(make_empty(3)) == 1
     assert chromatic_number(sudoku_graph(2).graph) == 4
     # above 20 vertices chi is given only when it needs no count: a clique
-    # as large as the first-fit bound settles K21, C21 needs a count
+    # as large as the first-fit bound settles K21, C21 needs a count, and
+    # is refused before it starts
     assert chromatic_number(make_complete(21)) == 21
-    with pytest.raises(SizeLimitError, match="capped at 20 vertices"):
-        chromatic_number(make_cycle(21))
+    with monkeypatch.context() as patched:
+        def no_count(*args):
+            raise AssertionError("chi was counted past the cap")
+
+        patched.setattr("critsets.coloring.count_colorings_extending", no_count)
+        with pytest.raises(SizeLimitError,
+                           match=r"^exact search capped at 20 vertices per component \(got 21\)$"):
+            chromatic_number(make_cycle(21))
     # a disconnected graph counts per component: five C5 answer, and a
     # component over the cap is refused by its own size
     five_c5 = make_cycle(5)
     for _ in range(4):
         five_c5 = disjoint_union(five_c5, make_cycle(5))
     assert chromatic_number(five_c5) == 3
-    with pytest.raises(SizeLimitError, match=r"capped at 20 vertices \(got 21\)"):
+    with pytest.raises(SizeLimitError,
+                       match=r"^exact search capped at 20 vertices per component \(got 21\)$"):
         chromatic_number(disjoint_union(make_cycle(21), make_complete(2)))
 
 
@@ -141,12 +149,17 @@ def test_empty_support_never_determines_when_two_colors_needed():
             assert count_colorings_extending(g, chi, {}, cap=2) == 2
 
 
-def test_is_uniquely_colorable():
+def test_is_uniquely_colorable(monkeypatch):
     assert is_uniquely_colorable(make_complete(4))
     assert is_uniquely_colorable(make_path(4))
     assert not is_uniquely_colorable(make_cycle(5))
-    # enumeration caps the whole graph, though P21's chi needs no count
-    with pytest.raises(SizeLimitError, match="enumeration capped at 20"):
+    # enumeration caps the whole graph, though P21's chi needs no count,
+    # and refuses it before chi
+    def no_chi(g):
+        raise AssertionError("chromatic_number ran on an over-cap input")
+
+    monkeypatch.setattr("critsets.coloring.chromatic_number", no_chi)
+    with pytest.raises(SizeLimitError, match=r"^exact search capped at 20 vertices \(got 21\)$"):
         is_uniquely_colorable(make_path(21))
 
 

@@ -216,6 +216,10 @@ def test_graph6_long_form():
         text = emit_graph6(g)
         assert text.startswith("~")
         assert parse_graph6(text) == g
+    # one vertex past the long header is a size limit, refused before any text
+    with pytest.raises(SizeLimitError,
+                       match=r"^graph of 258048 vertices is over the graph6 limit of 258047$"):
+        emit_graph6(make_empty(258048))
 
 
 def test_graph6_errors_carry_offsets():

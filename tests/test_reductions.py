@@ -286,7 +286,7 @@ def test_ulcs_certificate_counts_forced_replicas_against_k():
 def test_verify_caps_h_at_max_vertices():
     # H is capped at MAX_VERTICES (20) even when its chi needs no count
     instance = reduce_ulcs(make_complete(21))
-    with pytest.raises(SizeLimitError, match="caps H at 20 vertices"):
+    with pytest.raises(SizeLimitError, match=r"^exact search capped at 20 vertices of H \(got 21\)$"):
         verify_instance(instance)
     assert verify_instance(reduce_ulcs(make_complete(5))).consistent
 
