@@ -82,10 +82,11 @@ def load_graph_source(src: str, exact: bool = False, variant: str | None = None)
     if ":" in src:
         name, _, arg = src.partition(":")
         if name in GENERATORS:
-            try:
-                n = int(arg)
-            except ValueError:
-                raise InvalidParameterError(f"bad generator argument in {src!r}") from None
+            # plain decimal: int() would also take "+5", "1_0", " 5" and non-ASCII digits
+            digits = arg.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise InvalidParameterError(f"bad generator argument in {src!r}")
+            n = int(arg)
             if n >= 0 and name in _COUNTS:
                 *counts, largest = _COUNTS[name](n)
                 if exact:

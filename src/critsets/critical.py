@@ -10,18 +10,20 @@ else: the critical sets of c are the minimal transversals of its minimal
 difference masks M, Tr(M).  `four_params` picks one of two routes per
 component; `scs_lcs_for_coloring`, for a given c, takes the second alone:
 
-- The mask kernel (`_agreements`, `_critical_chunks`, then
+- The mask kernel (`_agreements`, `_critical_sets`, then
   `_lattice_extremes`) compares c with every palette-orbit coloring, so its
   cost is (colorings searched) x (palette orbits) pairs.  It marks each
   agreement set {v : c(v) == c'(v)}, the complement of a difference mask,
   in one integer with a bit per subset of V.  n shift steps close that
   family downward, to the sets that do not determine c; n more keep the
   minimal members of its complement, the critical sets, and per-size layer
-  masks give scs and lcs.  The chunk walk, which cuts the lattice into
-  chunks of 2^16 bits, runs only above 16 positions.  The maximal color
-  matchings behind the agreements depend only on the palette size and on
-  which color cells meet, so one table per process (`_MATCHINGS`) serves
-  every call.  It works palette-orbit representatives only.
+  masks give scs and lcs.  That integer is whole at every size; only the
+  shift and layer masks of at most `_SLICE` (16) positions are kept, and a
+  larger lattice builds its shift masks one at a time and is read in
+  2^16-bit slices.  The maximal color matchings behind the agreements
+  depend only on the palette size and on which color cells meet, so one
+  table per process (`_MATCHINGS`) serves every call.  It works
+  palette-orbit representatives only.
 - The lazy route (`_lazy_extremes`) compares c with no other coloring.
   The vertices that are not colorful lie in every determining set
   (`forced_vertices`), so it works on the lattice above with one position
@@ -51,9 +53,9 @@ gadget graphs.  Because the coloring extends its own restriction,
 propagation from the set can only fix each vertex to its own color, so it
 first closes the set on color-class bitsets: a round fixes every free
 vertex of color c whose fixed neighbors show the other k-1 colors, with
-O(k) mask operations.
-When the closure is all of V the set determines; otherwise the
-propagation counter `_count` branches on what is left, capped at 2.
+O(k) mask operations.  When the closure is all of V the set determines;
+otherwise `_free_count` counts the extensions onto what is left, capped
+at 2, with every other vertex keeping its own color.
 Dropping one vertex v from a set already known to determine the coloring
 goes through `_still_determines`, which counts on v's free region alone:
 the minimality loop of `is_critical` and every step of
@@ -61,12 +63,11 @@ the minimality loop of `is_critical` and every step of
 graph costs about linear time instead of one whole-graph count per
 vertex.  When every neighbor of v is fixed it needs no count: v is
 forced iff they show the other k-1 colors, one AND per color class.
-Otherwise the region grows by one row OR per vertex, and each region
-vertex reads its domain from k class masks of subset - {v}; v itself is
-not fixed there, or every drop would look safe.  Both checks need a
-proper coloring, so every point check rejects an improper one.  The
-vertices in every determining set need no count at all: they are the
-vertices that are not colorful (`forced_vertices`).
+Otherwise the region grows by one row OR per vertex, and `_free_count`
+runs on it; v itself is free there, or every drop would look safe.  Both
+checks need a proper coloring, so every point check rejects an improper
+one.  The vertices in every determining set need no count at all: they
+are the vertices that are not colorful (`forced_vertices`).
 
 Everything decomposes over connected components: a set determines a
 coloring iff its trace on every component does, so the four parameters of
@@ -163,8 +164,8 @@ def _flags(mask: VertexSet, n: int) -> bytes:
 
 def _determines(g: Graph, coloring: Coloring, subset: VertexSet, found: list | None = None) -> bool:
     """True iff the proper coloring restricted to `subset` has exactly one
-    proper extension.  When `_count` runs, the extensions it finds go to
-    `found` (see `_count`).
+    proper extension.  When `_free_count` runs, the difference masks of the
+    extensions it finds go to `found`.
 
     Unit propagation from `subset` only ever fixes a vertex to its own
     color, since the coloring is an extension and propagation keeps every
@@ -179,8 +180,7 @@ def _determines(g: Graph, coloring: Coloring, subset: VertexSet, found: list | N
     fixes, so on a long chain, which fixes one or two vertices per round,
     the rounds would be quadratic.  They stop at a round that fixes fewer
     than n/64 vertices (below 128 vertices: at one that fixes none), and
-    `_count` goes on from the residual domains, capped at 2: each free
-    vertex is allowed the palette minus the colors seen at it, so that
+    `_free_count` goes on from the vertices still free, capped at 2; that
     round's vertices come out as singletons, which `_count` propagates
     before it branches.
     """
@@ -209,17 +209,7 @@ def _determines(g: Graph, coloring: Coloring, subset: VertexSet, found: list | N
         free ^= fresh
     else:
         return True
-    full = (1 << k) - 1
-    allowed = [full] * n
-    for c in range(k):
-        for v in compress(range(n), _flags(classes[c] & ~free, n)):
-            allowed[v] = 1 << c
-        drop = full ^ 1 << c
-        for v in compress(range(n), _flags(seen[c] & free, n)):
-            allowed[v] &= drop
-    queue = list(compress(range(n), _flags(fresh, n)))  # the singletons
-    fixed = bytearray(_flags(((1 << n) - 1) ^ free, n))
-    return _count(g.neighbor_lists, allowed, fixed, queue, 2, found) == 1
+    return _free_count(g, coloring, free, found) == 1
 
 
 def _still_determines(g: Graph, coloring: Coloring, subset: VertexSet, v: int) -> bool:
@@ -231,18 +221,24 @@ def _still_determines(g: Graph, coloring: Coloring, subset: VertexSet, v: int) -
     it already had.  When every neighbor of v is fixed, the region is v
     alone, which is forced exactly when its neighbors show the other k-1
     colors.  Otherwise the region grows on bitsets, one row OR per vertex,
-    and the count runs on it alone, each vertex allowed the palette minus
-    the colors of its neighbors in subset - {v}.
+    and `_free_count` runs on it alone.
     """
-    adj = g.adj
-    row = adj[v]
-    classes = coloring.class_masks
+    row = g.adj[v]
     if not row & ~subset:
-        return sum(1 for cls in classes if row & cls) == coloring.k - 1
-    region = reach(g, 1 << v, ~subset)
-    rest = subset ^ 1 << v  # the fixed set once v is dropped
-    fixed = [cls & rest for cls in classes]
-    verts = bits(region)
+        return sum(1 for cls in coloring.class_masks if row & cls) == coloring.k - 1
+    return _free_count(g, coloring, reach(g, 1 << v, ~subset)) == 1
+
+
+def _free_count(g: Graph, coloring: Coloring, free: VertexSet, found: list | None = None) -> int:
+    """The proper extensions onto the vertices of `free` of the coloring on
+    all others, counted up to 2 by `_count` on the subgraph induced on
+    `free`, each vertex allowed the palette minus the colors of its
+    neighbors outside `free`.  Each extension found goes to `found` as its
+    difference mask with the coloring."""
+    adj = g.adj
+    colors = coloring.colors
+    fixed = [cls & ~free for cls in coloring.class_masks]
+    verts = bits(free)
     index = {u: i for i, u in enumerate(verts)}
     full = (1 << coloring.k) - 1
     local = []
@@ -253,10 +249,14 @@ def _still_determines(g: Graph, coloring: Coloring, subset: VertexSet, v: int) -
         for c, cls in enumerate(fixed):
             if row & cls:
                 dom ^= 1 << c
-        local.append([index[w] for w in bits(row & region)])
+        local.append([index[w] for w in bits(row & free)])
         allowed.append(dom)
     queue = [i for i, dom in enumerate(allowed) if not dom & (dom - 1)]
-    return _count(local, allowed, bytearray(len(local)), queue, 2) == 1
+    exts = None if found is None else []
+    total = _count(local, allowed, bytearray(len(verts)), queue, 2, exts)
+    if exts:
+        found.extend(mask_of(u for u, b in zip(verts, ext) if b != 1 << colors[u]) for ext in exts)
+    return total
 
 
 def is_determining(g: Graph, coloring: Coloring, subset: VertexSet) -> bool:
@@ -393,10 +393,15 @@ def _agreements(owns: Sequence[int], reps: Sequence[tuple[int, ...]], k: int, n:
         yield lattice
 
 
+# positions of the largest lattice table kept (`_lattice_tables`, about 0.3
+# MB), and of the slices `_lattice_extremes` reads a larger lattice in
+_SLICE = 16
+
+
 @cache
 def _lattice_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """As 2^n-bit integers, for n <= 16 (about 0.3 MB at 16): per lattice
-    position p, the sets holding p; per size s, the sets of size s."""
+    """As 2^n-bit integers, for n <= `_SLICE`: per lattice position p, the
+    sets holding p; per size s, the sets of size s."""
     holds, layers = [], [1]
     for p in range(n):  # a set skips position p, or holds it at index + 2^p
         half = 1 << p
@@ -405,72 +410,56 @@ def _lattice_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(holds), tuple(layers)
 
 
+def _holding(n: int) -> Iterator[int]:
+    """Per lattice position p, the 2^n-bit integer of the sets holding p,
+    for n above `_SLICE`: each built as it is read, a block of 2^p sets
+    without p, then 2^p with it, doubled up to 2^n bits, so that no table
+    of that size is kept."""
+    for p in range(n):
+        holding = ((1 << (1 << p)) - 1) << (1 << p)
+        for q in range(p + 1, n):
+            holding |= holding << (1 << q)
+        yield holding
+
+
 def _undetermined(agree: int, n: int) -> int:
-    """The down-closure of the lattice integer `agree` (n <= 16): the sets
-    inside some agreement set, which are the sets that do not determine c."""
-    for p, holding in enumerate(_lattice_tables(n)[0]):
+    """The down-closure of the lattice integer `agree`: the sets inside some
+    agreement set, which are the sets that do not determine c."""
+    for p, holding in enumerate(_lattice_tables(n)[0] if n <= _SLICE else _holding(n)):
         agree |= (agree & holding) >> (1 << p)
     return agree
 
 
-def _critical_sets(undetermined: int, n: int) -> int:
-    """The critical sets, from the down-closure `undetermined` (n <= 16):
-    the minimal members of the determining sets, which lie outside it and
-    form an up-closed family.  Shifting that family by 2^p moves each set S
-    without position p onto S + {p}; kept where p is held, these are the
-    sets that are not minimal because of p."""
-    determining = ((1 << (1 << n)) - 1) ^ undetermined
+def _critical_sets(agree: int, n: int) -> int:
+    """The critical sets of the agreement lattice `agree` over n positions:
+    the minimal members of the determining sets, which lie outside its
+    down-closure and form an up-closed family.  Shifting that family by 2^p
+    moves each set S without position p onto S + {p}; kept where p is held,
+    these are the sets that are not minimal because of p."""
+    determining = ((1 << (1 << n)) - 1) ^ _undetermined(agree, n)
     above = 0
-    for p, holding in enumerate(_lattice_tables(n)[0]):
+    for p, holding in enumerate(_lattice_tables(n)[0] if n <= _SLICE else _holding(n)):
         above |= (determining << (1 << p)) & holding
     return determining ^ above
 
 
-def _critical_chunks(agree: int, n: int) -> list[tuple[int, int]]:
-    """[(j, the critical sets of chunk j)] from an agreement lattice over n
-    positions, highest j first.  V determines, so some chunk holds a
-    critical set.
+def _lattice_extremes(critical: int, n: int):
+    """(scs, scs set, lcs, lcs set) over the sets of the lattice integer
+    `critical` over n positions, which holds at least one; the sets are
+    plain masks, position v at bit v, not lattice indices.
 
-    The tables cover 16 positions, so up to 16 the lattice is one chunk,
-    j = 0, and this is one down-closure and one pass for the critical sets.
-    Only above 16 is the lattice cut into chunks of 2^16 bits: chunk j
-    holds the sets whose positions from 16 up are the bits of j.  A set
-    lies inside an agreement set iff its low part lies inside the low part
-    of one in a chunk j' that holds all of j, so each chunk is first merged
-    into the chunks of its subsets.  A set is critical iff it is critical
-    within its chunk and dropping any one of its high positions leaves it
-    undetermined.  At 20 positions two lists of 16 chunks of 8 KB are live,
-    and no 2^20-bit table."""
-    if n <= 16:
-        return [(0, _critical_sets(_undetermined(agree, n), n))]
-    width = 1 << 16
-    upper = range(n - 16)  # bit q of j is position 16 + q
-    chunks = [agree >> j * width & (1 << width) - 1 for j in range(1 << n - 16)]
-    for q in upper:
-        for j in range(len(chunks)):
-            if j >> q & 1:
-                chunks[j ^ 1 << q] |= chunks[j]
-    chunks = [_undetermined(chunk, 16) for chunk in chunks]
-    out = []
-    for j in reversed(range(len(chunks))):
-        critical = _critical_sets(chunks[j], 16)
-        for q in upper:
-            if j >> q & 1:
-                critical &= chunks[j ^ 1 << q]
-        out.append((j, critical))
-    return out
-
-
-def _lattice_extremes(chunks: list[tuple[int, int]], n: int):
-    """(scs, scs set, lcs, lcs set) over the critical sets in `chunks`, the
-    `_critical_chunks` list of an agreement lattice over n positions; the
-    sets are plain masks, position v at bit v, not lattice indices.
-
-    Per chunk, one scan goes up from the smallest layer the chunk can hold
-    and stops at the first non-empty one, and one goes down from its
-    largest layer the same way; no other layer is read.  The highest index
-    in a layer is its lexicographically least set.  Chunks come highest j first, so on a
-    size tie the set found first has the higher index, and it is kept.
+    The lattice is read in slices of 2^m bits, m = min(n, `_SLICE`),
+    against the m-position layer table: slice j holds the sets whose
+    positions from m up are the bits of j, so its layer s - |j| holds the
+    sets of size s.  Per slice, one scan goes up from the smallest layer
+    and stops at the first non-empty one, and one goes down from the
+    largest the same way; no other layer is read.  The highest index in a
+    layer is its lexicographically least set.  Slices come highest j
+    first, so on a size tie the set found first has the higher index, and
+    it is kept.  Each slice is cut out whole: reading the shifted lattice
+    instead left copies of up to 2^20 bits, which raised the peak RSS of
+    `params` on K4 x K5 by 1.6 MB on some runs (2 of 16 source-path
+    lengths, 2 vCPU, Python 3.11.7).
 
     Two other cuts of the kernel were measured and dropped (2 vCPU, Python
     3.11.7): marking the agreement bits of `_agreements` with
@@ -479,19 +468,21 @@ def _lattice_extremes(chunks: list[tuple[int, int]], n: int):
     --no-symmetry` from 0.15-0.17 to 0.19-0.22 s normalised; packing the
     k^2 cells of an own x rep pair into one integer AND (SWAR) gained
     nothing measurable on top of this read."""
-    m = min(n, 16)
+    m = min(n, _SLICE)
+    window = (1 << (1 << m)) - 1
     layers = _lattice_tables(m)[1]
     low, high = n + 1, -1  # the sizes of the sets kept so far
-    for j, critical in chunks:
+    for j in range((1 << n - m) - 1, -1, -1):
+        part = critical >> (j << m) & window
         held = j.bit_count()
         sizes = range(held, held + m + 1)
         for s in sizes:
-            if h := (critical & layers[s - held]).bit_length():
+            if h := (part & layers[s - held]).bit_length():
                 if s < low:
                     low, scs = s, j << m | h - 1
                 break
         for s in reversed(sizes):
-            if h := (critical & layers[s - held]).bit_length():
+            if h := (part & layers[s - held]).bit_length():
                 if s > high:
                     high, lcs = s, j << m | h - 1
                 break
@@ -516,16 +507,17 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     there.  Such a chain holds both colors on colorful vertices, so only
     pairs of colors held there are searched.  Each mask marks the lattice
     bit of its complement in colorful(c), and Tr(F) is read off the lattice
-    as its critical sets.  While some T in Tr(F) does not determine c with
-    forced(c) added, the count behind `_determines` stops at two extensions,
-    and F gains the difference mask of one that is not c: it agrees with c
-    on T and on forced(c), so that mask lies inside colorful(c) and T misses
-    it.  A round lists Tr(F) once: a member that misses a mask added in the
-    round has left Tr(F), and one that hits them all is still in it (its
-    private masks stay), so only those are checked.  Sets checked stay
-    checked.  The round that adds no mask lists Tr(F) = Tr(M), so the
-    extremes are read off that round's chunk list, with no second walk of
-    the lattice.
+    as its critical sets, one integer walked as one index range.  While
+    some T in Tr(F) does not determine c with forced(c) added, the count
+    behind `_determines` stops at two extensions and reports their
+    difference masks, and F gains the one that is not empty: that extension
+    agrees with c on T and on forced(c), so its mask lies inside
+    colorful(c) and T misses it.  A round lists Tr(F) once: a member that
+    misses a mask added in the round has left Tr(F), and one that hits them
+    all is still in it (its private masks stay), so only those are
+    checked.  Sets checked stay checked.  The round that adds no mask lists
+    Tr(F) = Tr(M), so the extremes are read off that round's critical sets,
+    with no second closure of the lattice.
 
     No mask of F need be minimal.  Each contains one of M, so every
     transversal of M is one of F.  Once every T in Tr(F) determines c,
@@ -542,8 +534,7 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     r = len(verts)
     check_search(r, "colorful vertices per component")
     spots = verts[::-1]  # lattice position p holds vertex spots[p]
-    width, everywhere = 1 << min(r, 16), (1 << r) - 1
-    own = [1 << c for c in coloring.colors]
+    everywhere = (1 << r) - 1
     agree = 0  # the lattice bit of the positions outside each mask of F
     for a, b in combinations(sorted({coloring.colors[v] for v in verts}), 2):
         for chain in connected_components(g, classes[a] | classes[b]):
@@ -552,22 +543,20 @@ def _lazy_extremes(g: Graph, coloring: Coloring):
     checked: set[int] = set()
     while True:
         added = []  # masks found this round, as positions
-        chunks = _critical_chunks(agree, r)
-        for j, critical in chunks:
-            for i in compress(range(width), _flags(critical, width)):
-                t = j * width + i
-                if t in checked or not all(t & m for m in added):
-                    continue  # checked, or gone from Tr(F) with a mask added
-                exts: list = []
-                if _determines(g, coloring, forced | mask_of(spots[p] for p in bits(t)), exts):
-                    checked.add(t)
-                    continue
-                # the count stopped at two extensions, so one of them is not c
-                m = max(sum(1 << p for p, v in enumerate(spots) if ext[v] != own[v]) for ext in exts)
-                added.append(m)
-                agree |= 1 << (everywhere ^ m)
+        critical = _critical_sets(agree, r)
+        for t in compress(range(1 << r), _flags(critical, 1 << r)):
+            if t in checked or not all(t & m for m in added):
+                continue  # checked, or gone from Tr(F) with a mask added
+            diffs: list = []
+            if _determines(g, coloring, forced | mask_of(spots[p] for p in bits(t)), diffs):
+                checked.add(t)
+                continue
+            # the count stopped at two extensions, so one mask is not empty
+            m = max(sum(1 << p for p, v in enumerate(spots) if d >> v & 1) for d in diffs)
+            added.append(m)
+            agree |= 1 << (everywhere ^ m)
         if not added:
-            low, scs, high, lcs = _lattice_extremes(chunks, r)
+            low, scs, high, lcs = _lattice_extremes(critical, r)
             scs, lcs = (forced | mask_of(verts[i] for i in bits(s)) for s in (scs, lcs))
             return low + n - r, scs, high + n - r, lcs
 
@@ -627,7 +616,7 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet]):
             rows = [(tuples[j], *_lazy_extremes(sub, Coloring(tuples[j], k))) for j in owns]
         else:
             lattices = _agreements(owns, tuples, k, sub.n)
-            rows = [(tuples[j], *_lattice_extremes(_critical_chunks(a, sub.n), sub.n))
+            rows = [(tuples[j], *_lattice_extremes(_critical_sets(a, sub.n), sub.n))
                     for j, a in zip(owns, lattices)]
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")

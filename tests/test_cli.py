@@ -100,7 +100,7 @@ def test_package_names_are_their_submodules_objects():
         critsets.no_such_name
 
 
-def test_load_graph_source(tmp_path):
+def test_load_graph_source(tmp_path, capsys):
     assert load_graph_source("cycle:5") == make_cycle(5)
     assert load_graph_source("complete:3") == make_complete(3)
     assert load_graph_source(emit_graph6(make_cycle(4))) == make_cycle(4)
@@ -109,8 +109,20 @@ def test_load_graph_source(tmp_path):
     assert load_graph_source(str(path)) == make_cycle(6)
     latin = load_graph_source("latin:2")
     assert (latin.n, latin.m) == (4, 4)
-    with pytest.raises(InvalidParameterError):
-        load_graph_source("cycle:x")
+    # a generator argument is an optional "-" and ASCII digits: int() alone
+    # would read Arabic-Indic digits, underscores, a sign and spaces
+    for src in ("cycle:x", "cycle:\u0661\u0661", "cycle:1_0", "cycle:+5", "cycle: 5",
+                "cycle:5 ", "cycle:", "cycle:-", "cycle:--3"):
+        message = f"bad generator argument in {src!r}"
+        with pytest.raises(InvalidParameterError) as caught:
+            load_graph_source(src)
+        assert str(caught.value) == message
+        assert run_cli(capsys, "params", src) == (1, "", f"error: {message}\n"), src
+    # a negative N keeps its generator's own message
+    for src, message in (("cycle:-3", "cycles need at least 3 vertices"),
+                         ("path:-1", "n must be nonnegative"),
+                         ("sudoku:-1", "box order must be at least 1")):
+        assert run_cli(capsys, "params", src) == (1, "", f"error: {message}\n"), src
 
 
 def test_params_text(capsys):
@@ -154,7 +166,8 @@ def test_params_error_codes(capsys):
 
 # sha256 of `--format json params` stdout, recorded with Python 3.11.7:
 # every input runs on the lattice kernel, the last four with more than 16
-# vertices, so their lattices are cut into 2^16-bit chunks
+# vertices, so their lattices are past the cached tables and read in
+# 2^16-bit slices
 PARAMS_JSON_SHA256 = {
     "latin:4": "3a0f7e3f3049c227a14bf9ba3f0a2800a9d98047c9cf9a1a883f6f06c72c89e7",
     "sudoku:2": "0a03e21a129ff25540089ace388cab8da146cdc1a196056ba6e36e0c390bc969",

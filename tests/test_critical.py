@@ -22,10 +22,10 @@ from critsets.critical import (
     PARAM_NAMES,
     _agreements,
     _component_extremes,
-    _critical_chunks,
     _critical_sets,
     _determines,
     _lattice_extremes,
+    _lattice_tables,
     _lazy_extremes,
     _maximal_matchings,
     _still_determines,
@@ -347,7 +347,7 @@ def test_per_coloring_cap_counts_colorful_vertices_before_any_lattice(monkeypatc
     def no_lattice(agree, n):
         raise AssertionError("a lattice was built past the cap")
 
-    monkeypatch.setattr("critsets.critical._critical_chunks", no_lattice)
+    monkeypatch.setattr("critsets.critical._critical_sets", no_lattice)
     g = reduce_ulcs(cartesian_product(make_complete(3), make_complete(3))).graph
     coloring = sample_proper_coloring(g, 3, random.Random(0))
     with pytest.raises(SizeLimitError,
@@ -570,7 +570,7 @@ def test_difference_masks_match_definition(monkeypatch):
             reps = list(canonical_colorings(g, k))
             for (tup, minimal), agree in zip(_brute_minimal_masks(g, k),
                                              _agreements(range(len(reps)), reps, k, g.n)):
-                critical = _lattice_sets(_critical_sets(_undetermined(agree, g.n), g.n), g.n)
+                critical = _lattice_sets(_critical_sets(agree, g.n), g.n)
                 assert critical == set(_brute_transversals(minimal, g.n)), (g.adj, k, tup)
 
 
@@ -592,7 +592,7 @@ def test_transversal_witnesses_are_lexicographically_least(case):
     # gives the extremes of Tr(M); the reference MMCS walk gives them too
     n, masks = case
     expected = _old_transversal_witnesses(masks, n)
-    assert _lattice_extremes(_critical_chunks(_agreement_lattice(masks, n), n), n) == expected
+    assert _lattice_extremes(_critical_sets(_agreement_lattice(masks, n), n), n) == expected
     assert _extremes(_minimal_transversals(masks, n)) == expected
 
 
@@ -648,20 +648,20 @@ def _extremes(found):
     return low, scs, high, lcs
 
 
-def test_lattice_chunks_match_the_walk_at_and_above_16_vertices():
-    # up to 16 positions the lattice is one chunk (at 16 exactly one full
-    # 2^16-bit chunk); past 16 it is cut into 2^16-bit chunks, which the
-    # hypothesis cases above never reach.  The reference MMCS walk is the
-    # oracle here
+def test_lattice_extremes_match_the_walk_at_and_above_16_positions():
+    # up to 16 positions the shift masks come from the cached table and the
+    # layers are read in one slice (at 16 exactly one full 2^16-bit slice);
+    # past 16 the shift masks are built one at a time and the layers read in
+    # 2^16-bit slices, which the hypothesis cases above never reach.  The
+    # reference MMCS walk is the oracle here
     rng = random.Random(20)
-    for n in (12, 16, 17, 18, 20):
+    for n in (12, 16, 17, 18, 19, 20):
         for dense in (True, False) * 4:
             masks = [(rng.getrandbits(n) if dense else rng.getrandbits(n) & rng.getrandbits(n))
                      | 1 << rng.randrange(n) for _ in range(rng.randint(1, 7))]
-            chunks = _critical_chunks(_agreement_lattice(masks, n), n)
-            assert len(chunks) == 1 << max(n - 16, 0), (n, masks)
+            critical = _critical_sets(_agreement_lattice(masks, n), n)
             expected = _extremes(_minimal_transversals(masks, n))
-            assert _lattice_extremes(chunks, n) == expected, (n, masks)
+            assert _lattice_extremes(critical, n) == expected, (n, masks)
 
 
 def test_lazy_route_matches_brute_force_masks():
@@ -678,31 +678,26 @@ def test_lazy_route_matches_brute_force_masks():
 
 
 def test_lazy_route_closes_each_round_lattice_once(monkeypatch):
-    # the round that adds no mask reads the extremes off its own chunk list,
-    # so each lattice the route builds is closed and cut to its critical
-    # sets once: one _critical_sets call per round, not rounds + 1.  Every
-    # C11 leader needs one round; latin:3 needs two on some leader
-    lattices, formed = [], []
+    # the round that adds no mask reads the extremes off its own critical
+    # sets, so each lattice the route builds is closed and cut to its
+    # critical sets once: one _critical_sets call per round, not rounds + 1.
+    # Every C11 leader needs one round; latin:3 needs two on some leader
+    lattices = []
 
-    def chunks(agree, n):
+    def critical_sets(agree, n):
         lattices.append(agree)
-        return _critical_chunks(agree, n)
+        return _critical_sets(agree, n)
 
-    def critical_sets(undetermined, n):
-        formed.append(undetermined)
-        return _critical_sets(undetermined, n)
-
-    monkeypatch.setattr("critsets.critical._critical_chunks", chunks)
     monkeypatch.setattr("critsets.critical._critical_sets", critical_sets)
     latin3 = cartesian_product(make_complete(3), make_complete(3))
     for g, k, most in ((make_cycle(11), 3, 1), (latin3, 3, 2)):
         tuples = list(canonical_colorings(g, k))
         counts = []
         for i in _orbit_leaders(g, tuples):
-            del lattices[:], formed[:]
+            del lattices[:]
             _lazy_extremes(g, Coloring(tuples[i], k))
             rounds = len(set(lattices))  # each round adds a mask, so its lattice is new
-            assert len(formed) == len(lattices) == rounds, (g.adj, tuples[i])
+            assert len(lattices) == rounds, (g.adj, tuples[i])
             counts.append(rounds)
         assert max(counts) == most, (g.adj, counts)
 
@@ -746,7 +741,7 @@ def test_every_board_has_its_representatives_critical_sets():
     # lattice for its palette form, the one the kernel works
     g = sudoku_graph(2).graph
     reps = list(canonical_colorings(g, 4))
-    kernel = [_critical_sets(_undetermined(agree, 16), 16)
+    kernel = [_critical_sets(agree, 16)
               for agree in _agreements(range(len(reps)), reps, 4, 16)]
     boards = all_boards(2)
     assert len(boards) == 288
@@ -757,7 +752,7 @@ def test_every_board_has_its_representatives_critical_sets():
             if other is not own:
                 direct |= 1 << (own[0] & other[0] | own[1] & other[1]
                                 | own[2] & other[2] | own[3] & other[3])
-        critical = _critical_sets(_undetermined(direct, 16), 16)
+        critical = _critical_sets(direct, 16)
         assert critical == kernel[reps.index(_palette_form(board))], board
 
 
@@ -790,8 +785,9 @@ def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
     # against the kernel in test_scs_lcs_for_coloring_on_relabelled_colorings);
     # sudoku:2, latin:3 and latin:4 need two lazy rounds, the cycles one;
     # latin:4 with a pendant vertex has 17 vertices, so the kernel's
-    # lattice is cut into two chunks, and with a vertex joined to three
-    # cells of a row all 17 are colorful, so the lazy route's lattice is too
+    # lattice is past the cached tables and read in two slices, and with a
+    # vertex joined to three cells of a row all 17 are colorful, so the
+    # lazy route's lattice is too
     latin3 = cartesian_product(make_complete(3), make_complete(3))
     latin4 = cartesian_product(make_complete(4), make_complete(4))
     pendant = Graph(17, (latin4.adj[0] | 1 << 16, *latin4.adj[1:], 1))
@@ -812,6 +808,28 @@ def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
         assert rows[0] == rows[1], (g.adj, k)
 
 
+def test_no_lattice_table_above_16_positions_is_kept(monkeypatch):
+    # a 20-position kernel run (K4 x K5, every vertex colorful) and a
+    # 17-position lazy run (latin:4 joined as above) build their shift masks
+    # one at a time, so afterwards the table cache holds no entry above 16
+    sizes = []
+
+    def critical_sets(agree, n):
+        sizes.append(n)
+        return _critical_sets(agree, n)
+
+    monkeypatch.setattr("critsets.critical._critical_sets", critical_sets)
+    latin4 = cartesian_product(make_complete(4), make_complete(4))
+    joined = Graph(17, (*(row | 1 << 16 for row in latin4.adj[:3]), *latin4.adj[3:], 0b111))
+    _lattice_tables.cache_clear()
+    four_params(cartesian_product(make_complete(4), make_complete(5)))
+    scs_lcs_for_coloring(joined, Coloring(next(canonical_colorings(joined, 4)), 4))
+    assert set(sizes) == {20, 17}
+    for n in range(17):  # every size the cache may hold, so it holds no other
+        _lattice_tables(n)
+    assert _lattice_tables.cache_info().currsize == 17
+
+
 def _kernel_components(g, k):
     """Per connected component of g: its vertices, and {colors: (colors,
     scs, scs set, lcs, lcs set)} by the lattice kernel on every
@@ -822,7 +840,7 @@ def _kernel_components(g, k):
         sub, verts = induced_subgraph(g, comp)
         tuples = list(canonical_colorings(sub, k))
         lattices = _agreements(range(len(tuples)), tuples, k, sub.n)
-        rows = {tup: (tup, *_lattice_extremes(_critical_chunks(agree, sub.n), sub.n))
+        rows = {tup: (tup, *_lattice_extremes(_critical_sets(agree, sub.n), sub.n))
                 for tup, agree in zip(tuples, lattices)}
         components.append((verts, rows))
     return components

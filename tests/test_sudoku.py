@@ -329,11 +329,11 @@ def test_mnc_reads_boards_off_one_pass_over_representatives(monkeypatch):
     # without symmetry, however many of the 288 boards are compared
     formed = []
 
-    def counted(undetermined, n):
+    def counted(agree, n):
         formed.append(n)
-        return _critical_sets(undetermined, n)
+        return _critical_sets(agree, n)
 
-    monkeypatch.setattr("critsets.critical._critical_sets", counted)
+    monkeypatch.setattr("critsets.sudoku._critical_sets", counted)
     for symmetry, owners, boards in ((True, 2, 2), (False, 12, 288)):
         del formed[:]
         result = mnc_exhaustive(2, symmetry=symmetry)
