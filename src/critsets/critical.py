@@ -36,15 +36,13 @@ component; `scs_lcs_for_coloring`, for a given c, takes the second alone:
   values and lexicographically least witnesses are the kernel's, at a
   cost set by r = |colorful(c)|, not by n.
 
-`four_params` takes the lazy route when a component's pairs exceed
-`LAZY_PAIRS`.  A sweep over C5-C13 and P8-P10 at k = 3, `latin:3`,
-`latin:4`, `sudoku:2`, K3 x K4, K4 x K5 and 60 random graphs on 5-12
-vertices at chi and chi + 1 below Delta + 2, timing both routes in process
-up to 300000 pairs (2 vCPU, Python 3.11.7), found that pair count separates
-them poorly: the kernel was faster on some inputs up to 4096 pairs (36x on
-`latin:4`, 48 pairs, where F needs many rounds; 2x on K4 x K5, 4032 pairs,
-20 positions on either route) and the lazy route on some from 384 pairs up
-(3.4x on C9's 680) and on every input above 4096 (10x on C11's 7161).
+`four_params` plans each component once (`_plan`), from sizes it already
+has: the lazy route runs iff T x n > r x 2^r, with T the component's
+palette orbits, n its vertices and r the mean colorful vertices over its
+owners.  Per owner the kernel works T pairs over n-vertex cells, and the
+lazy route closes a lattice of 2^r sets of r positions, so the rule needs
+no constant of its own.  `tools/route_sweep.py` times both routes on every
+component of a fixed input set beside the route taken.
 
 Point checks on one given set go through `_determines` (behind
 `is_determining`, `is_critical` and the fair-puzzle certificate), which
@@ -84,12 +82,13 @@ from `graphs.automorphism_generators`); the kernel still compares it with
 every palette-orbit representative.  That search pays only where orbits
 are large or many: a component whose T palette orbits and n vertices give
 T x 2^n <= `LATTICE_BUDGET` skips it and runs the kernel on all T
-colorings, each unordered pair of them worked once (`_agreements`).  On
-the <= 7 atlas that is 1480 of 1610 components; every component above 10
-vertices, and `sudoku:2`, keeps the search.  The witnesses do not move:
-`min` and `max` keep the first coloring that attains an extreme, and that
-coloring is the earliest of its orbit, so it is among those searched,
-with its own least set, on either side of the budget.
+colorings, each unordered pair of them worked once (`_agreements`), on
+the kernel, so r is counted on orbit leaders alone.  On the <= 7 atlas
+that is 1480 of 1610 components; every component above 10 vertices, and
+`sudoku:2`, keeps the search.  The witnesses do not move: `min` and `max`
+keep the first coloring that attains an extreme, and that coloring is the
+earliest of its orbit, so it is among those searched, with its own least
+set, on either side of the budget.
 """
 
 from __future__ import annotations
@@ -182,7 +181,8 @@ def _determines(g: Graph, coloring: Coloring, subset: VertexSet, found: list | N
     than n/64 vertices (below 128 vertices: at one that fixes none), and
     `_free_count` goes on from the vertices still free, capped at 2; that
     round's vertices come out as singletons, which `_count` propagates
-    before it branches.
+    before it branches.  The free vertices may be most of V, so their rows
+    and domains come from their neighbor lists, linear in their degrees.
     """
     n = g.n
     k = coloring.k
@@ -209,7 +209,12 @@ def _determines(g: Graph, coloring: Coloring, subset: VertexSet, found: list | N
         free ^= fresh
     else:
         return True
-    return _free_count(g, coloring, free, found) == 1
+    verts = list(compress(range(n), _flags(free, n)))
+    index = {u: i for i, u in enumerate(verts)}
+    nbrs = [g.neighbor_lists[u] for u in verts]
+    local = [[index[w] for w in ws if w in index] for ws in nbrs]
+    allowed = [((1 << k) - 1) & ~mask_of(colors[w] for w in ws if w not in index) for ws in nbrs]
+    return _free_count(coloring, verts, local, allowed, found) == 1
 
 
 def _still_determines(g: Graph, coloring: Coloring, subset: VertexSet, v: int) -> bool:
@@ -221,41 +226,35 @@ def _still_determines(g: Graph, coloring: Coloring, subset: VertexSet, v: int) -
     it already had.  When every neighbor of v is fixed, the region is v
     alone, which is forced exactly when its neighbors show the other k-1
     colors.  Otherwise the region grows on bitsets, one row OR per vertex,
-    and `_free_count` runs on it alone.
+    and `_free_count` runs on it alone, each of its vertices read with
+    k + 1 row ANDs, as cheap as growing it.
     """
     row = g.adj[v]
     if not row & ~subset:
         return sum(1 for cls in coloring.class_masks if row & cls) == coloring.k - 1
-    return _free_count(g, coloring, reach(g, 1 << v, ~subset)) == 1
-
-
-def _free_count(g: Graph, coloring: Coloring, free: VertexSet, found: list | None = None) -> int:
-    """The proper extensions onto the vertices of `free` of the coloring on
-    all others, counted up to 2 by `_count` on the subgraph induced on
-    `free`, each vertex allowed the palette minus the colors of its
-    neighbors outside `free`.  Each extension found goes to `found` as its
-    difference mask with the coloring."""
-    adj = g.adj
-    colors = coloring.colors
-    fixed = [cls & ~free for cls in coloring.class_masks]
-    verts = bits(free)
+    region = reach(g, 1 << v, ~subset)
+    verts = bits(region)
     index = {u: i for i, u in enumerate(verts)}
-    full = (1 << coloring.k) - 1
-    local = []
-    allowed = []
+    fixed = [cls & ~region for cls in coloring.class_masks]
+    local, allowed = [], []
     for u in verts:
-        row = adj[u]
-        dom = full
-        for c, cls in enumerate(fixed):
-            if row & cls:
-                dom ^= 1 << c
-        local.append([index[w] for w in bits(row & free)])
-        allowed.append(dom)
+        row = g.adj[u]
+        local.append([index[w] for w in bits(row & region)])
+        allowed.append(sum(1 << c for c, cls in enumerate(fixed) if not row & cls))
+    return _free_count(coloring, verts, local, allowed) == 1
+
+
+def _free_count(coloring: Coloring, verts: list[int], local, allowed, found: list | None = None) -> int:
+    """The proper extensions onto the vertices `verts` of the coloring on
+    all others, counted up to 2 by `_count` on their neighbors in `verts`
+    (`local`, as indices) and domains (`allowed`: the palette minus the
+    colors of neighbors outside).  Each extension found goes to `found` as
+    its difference mask with the coloring."""
     queue = [i for i, dom in enumerate(allowed) if not dom & (dom - 1)]
     exts = None if found is None else []
     total = _count(local, allowed, bytearray(len(verts)), queue, 2, exts)
     if exts:
-        found.extend(mask_of(u for u, b in zip(verts, ext) if b != 1 << colors[u]) for ext in exts)
+        found.extend(mask_of(u for u, b in zip(verts, ext) if b != 1 << coloring.colors[u]) for ext in exts)
     return total
 
 
@@ -574,10 +573,6 @@ def _check_point(g: Graph, coloring: Coloring, subset: VertexSet):
     _check_proper(g, coloring)
 
 
-# most (own, palette-orbit) pairs a component gives the mask kernel; above
-# this the lazy route runs (the sweep in the module docstring: no input
-# above it ran faster on the kernel)
-LAZY_PAIRS = 4096
 # most palette orbits x lattice positions (T x 2^n) of a component that
 # skips the orbit search and owns all T colorings, pairs shared.  A sweep
 # over the 1610 components of the <= 7 atlas at chi (`_component_extremes`
@@ -587,37 +582,46 @@ LAZY_PAIRS = 4096
 LATTICE_BUDGET = 1280
 
 
+def _plan(sub: Graph, k: int):
+    """Every decision `_component_extremes` makes on the component `sub`:
+    (colorings, owners, route), with colorings its palette-orbit
+    representatives, owners the indices of those that get a row, and route
+    "closed" (k >= Delta + 2: the first coloring alone, with no
+    enumeration), "kernel" (every representative within `LATTICE_BUDGET`)
+    or, for the orbit leaders, "lazy" iff T x n > r x 2^r (module
+    docstring)."""
+    if k >= max(map(len, sub.neighbor_lists)) + 2:
+        return [next(canonical_colorings(sub, k))], [0], "closed"
+    tuples = list(canonical_colorings(sub, k))
+    if len(tuples) << sub.n <= LATTICE_BUDGET:
+        return tuples, range(len(tuples)), "kernel"
+    owns = _orbit_leaders(sub, tuples)
+    r = sum(colorful_vertices(sub, Coloring(tuples[j], k)).bit_count() for j in owns) / len(owns)
+    return tuples, owns, "lazy" if len(tuples) * sub.n > r * 2 ** r else "kernel"
+
+
+def _kernel_rows(owns: Sequence[int], reps: Sequence[tuple[int, ...]], k: int, n: int) -> list[tuple]:
+    """(colors, scs, scs set, lcs, lcs set) on the mask kernel for each
+    coloring of `reps` that `owns` indexes, over n vertices."""
+    return [(reps[j], *_lattice_extremes(_critical_sets(agree, n), n))
+            for j, agree in zip(owns, _agreements(owns, reps, k, n))]
+
+
 def _component_extremes(g: Graph, k: int, comps: list[VertexSet]):
     """Per connected component in `comps`: its vertices, and (colors, scs,
-    scs set, lcs, lcs set) for the earliest palette-orbit representative of
-    each Aut x S_k orbit of its proper k-colorings.  Colors and sets are in
-    the component's own indices.
-
-    A component within `LATTICE_BUDGET` gets a row for every palette-orbit
-    representative instead, with no automorphism search: its lattices are
-    small, so the shared pairs of `_agreements` cost less than the search.
-    Each orbit's rows are equal in value, and the earliest is its leader.
-
-    A component with k >= Delta + 2 needs no enumeration: no vertex there
-    is colorful, so V is the only critical set of every coloring, and its
-    one row holds the first palette-orbit coloring."""
+    scs set, lcs, lcs set) for each owner that `_plan` names, on the route
+    it picks, in the component's own indices.  The rows of one Aut x S_k
+    orbit are equal in value, and in the closed form the first coloring's
+    row stands for all."""
     for comp in comps:
         sub, verts = induced_subgraph(g, comp)
-        if k >= max(map(len, sub.neighbor_lists)) + 2:
-            everything = (1 << sub.n) - 1
-            yield verts, [(next(canonical_colorings(sub, k)), sub.n, everything, sub.n, everything)]
-            continue
-        tuples = list(canonical_colorings(sub, k))
-        if len(tuples) << sub.n <= LATTICE_BUDGET:
-            owns = range(len(tuples))
-        else:
-            owns = _orbit_leaders(sub, tuples)
-        if len(owns) * len(tuples) > LAZY_PAIRS:
+        tuples, owns, route = _plan(sub, k)
+        if route == "closed":
+            rows = [(tuples[0], sub.n, (1 << sub.n) - 1, sub.n, (1 << sub.n) - 1)]
+        elif route == "lazy":
             rows = [(tuples[j], *_lazy_extremes(sub, Coloring(tuples[j], k))) for j in owns]
         else:
-            lattices = _agreements(owns, tuples, k, sub.n)
-            rows = [(tuples[j], *_lattice_extremes(_critical_sets(a, sub.n), sub.n))
-                    for j, a in zip(owns, lattices)]
+            rows = _kernel_rows(owns, tuples, k, sub.n)
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")
         yield verts, rows

@@ -23,7 +23,7 @@ from .coloring import (
     canonical_colorings,
     count_colorings_extending,
 )
-from .critical import _agreements, _critical_sets, _determines, _lattice_extremes, is_determining
+from .critical import _determines, _kernel_rows, is_determining
 from .errors import InternalError, InvalidParameterError, SizeLimitError, UnsupportedError
 from .graphs import Graph, VertexSet, bits
 
@@ -368,8 +368,7 @@ def mnc_exhaustive(n: int = 2, symmetry: bool = True) -> MncResult:
     graph = sudoku_graph(2).graph
     reps = list(canonical_colorings(graph, side))
     owns = _orbit_leaders(graph, reps) if symmetry else range(len(reps))
-    smallest = {reps[j]: _lattice_extremes(_critical_sets(agree, cells), cells)[:2]
-                for j, agree in zip(owns, _agreements(owns, reps, side, cells))}
+    smallest = {row[0]: row[1:3] for row in _kernel_rows(owns, reps, side, cells)}
     boards = list(smallest) if symmetry else all_boards(2)
     board = min(boards, key=lambda b: smallest[_palette_form(b)][0])
     scs, clues = smallest[_palette_form(board)]

@@ -28,6 +28,7 @@ from critsets.critical import (
     _lattice_tables,
     _lazy_extremes,
     _maximal_matchings,
+    _plan,
     _still_determines,
     _undetermined,
     four_params,
@@ -756,6 +757,16 @@ def test_every_board_has_its_representatives_critical_sets():
         assert critical == kernel[reps.index(_palette_form(board))], board
 
 
+def _force_route(monkeypatch, route):
+    """Patch `_plan` so that every component takes `route`, "lazy" or
+    "kernel", on the owners it plans; the closed form keeps its route."""
+    def plan(sub, k):
+        tuples, owns, planned = _plan(sub, k)
+        return tuples, owns, planned if planned == "closed" else route
+
+    monkeypatch.setattr("critsets.critical._plan", plan)
+
+
 def test_orbit_search_budget_changes_no_answer(monkeypatch):
     # a budget of 0 searches every component with more than one palette
     # orbit; a huge one searches none and owns every palette orbit
@@ -769,6 +780,7 @@ def test_orbit_search_budget_changes_no_answer(monkeypatch):
     cases = [(g, k) for n in range(7) for g in enumerate_graphs(n)
              for k in (chromatic_number(g), chromatic_number(g) + 1)]
     quads = []
+    _force_route(monkeypatch, "kernel")  # so that only the owners differ
     for budget in (0, 10**9):
         monkeypatch.setattr("critsets.critical.LATTICE_BUDGET", budget)
         searched.clear()
@@ -780,9 +792,9 @@ def test_orbit_search_budget_changes_no_answer(monkeypatch):
 
 
 def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
-    # four_params' route is chosen by pair count alone, so each is forced in
-    # turn (a given coloring takes the lazy route alone, and is checked
-    # against the kernel in test_scs_lcs_for_coloring_on_relabelled_colorings);
+    # each route is forced in turn through `_plan` (a given coloring takes
+    # the lazy route alone, and is checked against the kernel in
+    # test_scs_lcs_for_coloring_on_relabelled_colorings);
     # sudoku:2, latin:3 and latin:4 need two lazy rounds, the cycles one;
     # latin:4 with a pendant vertex has 17 vertices, so the kernel's
     # lattice is past the cached tables and read in two slices, and with a
@@ -802,10 +814,36 @@ def test_lazy_and_kernel_routes_give_identical_rows(monkeypatch):
         rng.shuffle(perm)
         g = g.relabel(perm)
         rows = []
-        for pairs in (-1, 10**9):
-            monkeypatch.setattr("critsets.critical.LAZY_PAIRS", pairs)
+        for route in ("lazy", "kernel"):
+            _force_route(monkeypatch, route)
             rows.append(list(_component_extremes(g, k, connected_components(g))))
         assert rows[0] == rows[1], (g.adj, k)
+
+
+def test_plan_routes_each_component_by_its_sizes(monkeypatch):
+    # the lazy route runs iff T x n > r x 2^r, with T palette orbits, n
+    # vertices and r the mean colorful vertices over the orbit leaders:
+    # C9 (T x n = 765, r = 5), C10 and P8 at k = 3 go lazy, as does C11,
+    # while the boards and grids, every vertex colorful, stay on the
+    # kernel.  Each route stops at its first call.
+    class Routed(Exception):
+        pass
+
+    def stop(route):
+        def wrapper(*args):
+            raise Routed(route)
+        return wrapper
+
+    monkeypatch.setattr("critsets.critical._agreements", stop("kernel"))
+    monkeypatch.setattr("critsets.critical._lazy_extremes", stop("lazy"))
+    grids = [(cartesian_product(make_complete(a), make_complete(b)), b) for a, b in ((4, 4), (3, 4), (4, 5))]
+    cases = [(make_cycle(9), 3, "lazy"), (make_cycle(10), 3, "lazy"), (make_path(8), 3, "lazy"),
+             (make_cycle(11), 3, "lazy"), (sudoku_graph(2).graph, 4, "kernel")]
+    cases += [(g, k, "kernel") for g, k in grids]
+    for g, k, route in cases:
+        with pytest.raises(Routed) as taken:
+            four_params(g, k)
+        assert taken.value.args == (route,), (g.n, k)
 
 
 def test_no_lattice_table_above_16_positions_is_kept(monkeypatch):

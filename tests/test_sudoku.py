@@ -333,7 +333,7 @@ def test_mnc_reads_boards_off_one_pass_over_representatives(monkeypatch):
         formed.append(n)
         return _critical_sets(agree, n)
 
-    monkeypatch.setattr("critsets.sudoku._critical_sets", counted)
+    monkeypatch.setattr("critsets.critical._critical_sets", counted)
     for symmetry, owners, boards in ((True, 2, 2), (False, 12, 288)):
         del formed[:]
         result = mnc_exhaustive(2, symmetry=symmetry)
