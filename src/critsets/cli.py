@@ -189,8 +189,16 @@ def cmd_scan(args) -> int:
         raise InvalidParameterError(f"--progress must be nonnegative (got {args.progress})")
     jobs = _jobs(args)
     with open(args.file) as fh:
-        lines = fh.readlines()
-    report = scan.scan_graph6_lines(lines, args.check, jobs=jobs, progress=args.progress)
+        if args.format == "csv":
+            # each row is written as its record arrives: no record is kept
+            import csv
+
+            w = csv.writer(sys.stdout)
+            w.writerow([*_RECORD_HEADER, "holds"])
+            for rec in scan.scan_records(fh, [], jobs, args.progress):
+                w.writerow([*_record_row(rec), int(scan.implication_holds(args.check, rec))])
+            return 0
+        report = scan.scan_graph6_lines(fh, args.check, jobs=jobs, progress=args.progress)
     if args.format == "json":
         import json
 
@@ -200,14 +208,6 @@ def cmd_scan(args) -> int:
             "counterexamples": [rec._asdict() for rec in report.counterexamples],
             "parse_errors": report.parse_errors,
         }))
-        return 0
-    if args.format == "csv":
-        import csv
-
-        w = csv.writer(sys.stdout)
-        w.writerow([*_RECORD_HEADER, "holds"])
-        for rec in report.records:
-            w.writerow([*_record_row(rec), int(scan.implication_holds(report.check, rec))])
         return 0
     print(f"check={report.check} graphs={report.checked} "
           f"counterexamples={len(report.counterexamples)} parse_errors={len(report.parse_errors)}")
@@ -308,8 +308,8 @@ def cmd_reduce(args) -> int:
         print(f"variant={instance.variant} |V(G)|={instance.graph.n} "
               f"|E(G)|={instance.graph.m} k={instance.k}")
         if outs:
-            outs[0].write(graphs.emit_graph6(instance.graph))
-            outs[0].write("\n")  # a separate write: `+ "\n"` would copy the whole text
+            outs[0].writelines(graphs.graph6_blocks(instance.graph))
+            outs[0].write("\n")
             instance.write_role_map(outs[1])
             print(f"wrote {args.out}.g6 and {args.out}.roles.json", file=sys.stderr)
     finally:
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for table and scan, capped at the CPU count")
+                        help="worker processes for table and scan, capped at the usable CPUs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="four extremal parameters of one graph")

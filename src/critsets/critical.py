@@ -120,7 +120,9 @@ class ParamQuad(NamedTuple):
     """The four extremal critical-set sizes, with optional witnesses.
 
     witnesses maps a parameter name to a (coloring, vertex set) pair that
-    attains it.
+    attains it.  palette_orbits is T, the number of proper chi-colorings up
+    to palette permutation, when the graph is connected and k = chi: the
+    count `_plan` enumerated.  Otherwise it is None.
     """
 
     uscs: int
@@ -128,6 +130,7 @@ class ParamQuad(NamedTuple):
     ulcs: int
     olcs: int
     witnesses: dict[str, tuple[Coloring, VertexSet]] | None = None
+    palette_orbits: int | None = None
 
     def values(self) -> tuple[int, int, int, int]:
         return (self.uscs, self.oscs, self.ulcs, self.olcs)
@@ -608,11 +611,12 @@ def _kernel_rows(owns: Sequence[int], reps: Sequence[tuple[int, ...]], k: int, n
 
 
 def _component_extremes(g: Graph, k: int, comps: list[VertexSet]):
-    """Per connected component in `comps`: its vertices, and (colors, scs,
-    scs set, lcs, lcs set) for each owner that `_plan` names, on the route
-    it picks, in the component's own indices.  The rows of one Aut x S_k
-    orbit are equal in value, and in the closed form the first coloring's
-    row stands for all."""
+    """Per connected component in `comps`: its vertices, (colors, scs, scs
+    set, lcs, lcs set) for each owner that `_plan` names, on the route it
+    picks, in the component's own indices, and the number of colorings
+    `_plan` enumerated (T, or 1 in the closed form).  The rows of one
+    Aut x S_k orbit are equal in value, and in the closed form the first
+    coloring's row stands for all."""
     for comp in comps:
         sub, verts = induced_subgraph(g, comp)
         tuples, owns, route = _plan(sub, k)
@@ -624,7 +628,7 @@ def _component_extremes(g: Graph, k: int, comps: list[VertexSet]):
             rows = _kernel_rows(owns, tuples, k, sub.n)
         if not rows:
             raise InternalError(f"component admits no proper {k}-coloring")
-        yield verts, rows
+        yield verts, rows, len(tuples)
 
 
 def _lift(n: int, chosen, i: int) -> tuple[int, tuple[int, ...], VertexSet]:
@@ -680,11 +684,13 @@ def four_params(g: Graph, k: int | None = None) -> ParamQuad:
     values = []
     witnesses = {}
     for name, pick, i in _EXTREMES:
-        chosen = [(verts, pick(rows, key=itemgetter(i))) for verts, rows in components]
+        chosen = [(verts, pick(rows, key=itemgetter(i))) for verts, rows, _ in components]
         value, colors, mask = _lift(g.n, chosen, i)
         values.append(value)
         witnesses[name] = (Coloring(colors, k), mask)
-    quad = ParamQuad(*values, witnesses)
+    # a connected graph at k = chi never takes the closed form (chi <= Delta + 1)
+    orbits = components[0][2] if k == chi and len(components) == 1 else None
+    quad = ParamQuad(*values, witnesses, orbits)
     if not (quad.uscs <= quad.oscs <= quad.olcs and quad.uscs <= quad.ulcs <= quad.olcs):
         raise InternalError(f"parameter ordering violated: {quad.values()}")
     if k == chi and g.n and quad.olcs > g.n - 1:

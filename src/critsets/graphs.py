@@ -11,7 +11,7 @@ import base64
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import Graph6Error, InvalidParameterError, SizeLimitError
+from .errors import Graph6Error, InternalError, InvalidParameterError, SizeLimitError
 
 VertexSet = int
 
@@ -306,27 +306,34 @@ def check_graph6_order(n: int, what: str):
         raise SizeLimitError(f"{what} of {n} vertices is over the graph6 limit of {_G6_MAX_LONG}")
 
 
-def emit_graph6(g: Graph) -> str:
-    """Standard graph6 encoding: size header, then the upper triangle in
-    column-major order packed into 6-bit printable chunks."""
+def graph6_blocks(g: Graph):
+    """The graph6 encoding of g as consecutive strings: the size header,
+    then one string per block of 48 columns of the upper triangle.  A
+    writer can write each as it is made, so a large graph's text is never
+    held whole; `emit_graph6` joins them.  The vertex count is checked
+    before the first string."""
     n = g.n
     check_graph6_order(n, "graph")
-    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    yield chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     # Columns 1..48m hold 24m(48m + 1) bits, whole 24-bit base64 groups, so
     # each block of 48 columns packs on its own and the bit string stays
-    # small; only the last block needs zero padding.  Blocks are translated
-    # into one growing buffer, so a large graph's text is held at most twice:
-    # the buffer and the result.
-    out = bytearray(head, "ascii")
+    # small; only the last block needs zero padding, whose characters
+    # beyond the block's own 6-bit chunks are dropped.
     for start in range(1, n, 48):
         cols = range(start, min(start + 48, n))
         # rows 0..j-1 of column j, row 0 first
         block = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in cols)
+        size = (len(block) + 5) // 6
         block += "0" * (-len(block) % 24)
-        out += base64.b64encode(int(block, 2).to_bytes(len(block) // 8, "big")).translate(
-            _G6_FROM_BASE64)
-    del out[len(head) + (n * (n - 1) // 2 + 5) // 6:]
-    return out.decode("ascii")
+        packed = base64.b64encode(int(block, 2).to_bytes(len(block) // 8, "big"))
+        yield packed[:size].translate(_G6_FROM_BASE64).decode("ascii")
+
+
+def emit_graph6(g: Graph) -> str:
+    """Standard graph6 encoding: size header, then the upper triangle in
+    column-major order packed into 6-bit printable chunks
+    (`graph6_blocks`, joined)."""
+    return "".join(graph6_blocks(g))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -530,9 +537,10 @@ def _encode(g: Graph, order: list[int]) -> int:
     return code
 
 
-def canonical_form(g: Graph) -> Graph:
-    """The relabelling of g by the leaf of its individualization-refinement
-    tree with the least `_encode` code; isomorphic graphs coincide.
+def _canonical_order(g: Graph) -> tuple[list[int], list[int]]:
+    """The vertex order of the leaf of g's individualization-refinement
+    tree with the least `_encode` code, and the Aut(g) orbit roots (as
+    `_orbit_roots`), both from one `_first_path_search`.
 
     The tree (equitable refinement, branching on every vertex of the first
     non-singleton cell) commutes with relabelling, so its least leaf code
@@ -541,7 +549,8 @@ def canonical_form(g: Graph) -> Graph:
     same leaf codes.  So at each node of the first path only one child per
     orbit of that level's stabilizer is searched, with the orbits that
     `_first_path_search` reports, and below every other child each leaf
-    is visited.  Capped at CANONICAL_CAP vertices.
+    is visited.  The stabilizer at the root is Aut(g) itself.  Capped at
+    CANONICAL_CAP vertices.
     """
     if g.n > CANONICAL_CAP:
         raise SizeLimitError(f"canonical_form capped at {CANONICAL_CAP} vertices (got {g.n})")
@@ -561,7 +570,14 @@ def canonical_form(g: Graph) -> Graph:
         for w in bits(before[t])[1:]:
             if roots[w] == w:
                 orders.extend(leaves(_equitable(g, _individualize(before, t, w))))
-    return g.relabel(min(orders, key=lambda order: _encode(g, order)))
+    order = min(orders, key=lambda order: _encode(g, order))
+    return order, stab_roots[0] if path else list(range(n))
+
+
+def canonical_form(g: Graph) -> Graph:
+    """The relabelling of g by its `_canonical_order`; isomorphic graphs
+    coincide.  Capped at CANONICAL_CAP vertices."""
+    return g.relabel(_canonical_order(g)[0])
 
 
 def _augmentation_roots(g: Graph) -> list[int]:
@@ -587,24 +603,51 @@ def check_atlas_order(n: int):
                              "larger catalogs can be scanned from graph6 files")
 
 
+def _canonical_child(g: Graph) -> Graph | None:
+    """The canonical form of g (n >= 1) if its last vertex is g's canonical
+    deletion, else None.  The canonical deletion is the first vertex of
+    maximum degree in `_canonical_order(g)`, up to Aut(g).  A last vertex
+    below the maximum degree is rejected with no search, since an
+    automorphism keeps degrees."""
+    degrees = [row.bit_count() for row in g.adj]
+    top = max(degrees)
+    if degrees[-1] < top:
+        return None
+    order, roots = _canonical_order(g)
+    first = next(v for v in order if degrees[v] == top)
+    return g.relabel(order) if roots[first] == roots[-1] else None
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on n vertices as canonical forms, sorted by
     adjacency rows.
 
-    Built by vertex augmentation: each class g on n - 1 vertices gets a new
-    vertex joined to one neighbourhood per orbit of Aut(g) on vertex
-    subsets, since an automorphism mapping one neighbourhood onto another
-    extends, fixing the new vertex, to an isomorphism of the two extensions
-    (the orbit pruning of McKay, Isomorph-free exhaustive generation,
-    1998).  `canonical_form` merges the duplicates that remain.  Candidates
-    are symmetric by construction, so only the canonical relabelling
-    checks them.  Capped at CANONICAL_CAP vertices (12346 classes on 8).
+    Built by canonical construction path (McKay, Isomorph-free exhaustive
+    generation, 1998).  Each class g on n - 1 vertices gets a new vertex
+    joined to one neighbourhood per orbit of Aut(g) on vertex subsets, and
+    the candidate is kept iff its new vertex is its canonical deletion
+    (`_canonical_child`).  Each class G then arrives exactly once:
+    - at least once: delete G's canonical deletion v.  G - v is some class
+      g on n - 1 vertices, and an isomorphism G - v -> g followed by an
+      automorphism of g sends N(v) to the orbit root nb that g is
+      augmented by.  That candidate is isomorphic to G by a map sending v
+      to the new vertex, and isomorphisms carry canonical deletions into
+      each other's Aut orbits, so it is kept;
+    - at most once: two kept candidates of G both delete to G - v, so they
+      come from one class g, and an isomorphism between them that maps new
+      vertex to new vertex restricts to an automorphism of g sending one
+      neighbourhood onto the other, so the two orbit roots are one.
+    The new vertex must have the maximum degree, so most candidates are
+    rejected before any search.  A duplicate after the sort would break
+    this argument and raises InternalError.  Candidates are symmetric by
+    construction, so only the canonical relabelling checks them.  Capped
+    at CANONICAL_CAP vertices (12346 classes on 8).
     """
     check_atlas_order(n)
     if n == 0:
         return (Graph(0, ()),)
-    seen: dict[tuple[int, ...], Graph] = {}
+    kept = []
     for g in enumerate_graphs(n - 1):
         for nb in _augmentation_roots(g):
             rows = [row | (nb >> v & 1) << (n - 1) for v, row in enumerate(g.adj)]
@@ -612,9 +655,14 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
             cand = object.__new__(Graph)  # skips Graph.__init__'s checks
             object.__setattr__(cand, "n", n)
             object.__setattr__(cand, "adj", tuple(rows))
-            cand = canonical_form(cand)
-            seen[cand.adj] = cand
-    return tuple(sorted(seen.values(), key=lambda h: h.adj))
+            child = _canonical_child(cand)
+            if child is not None:
+                kept.append(child)
+    kept.sort(key=lambda h: h.adj)
+    for a, b in zip(kept, kept[1:]):
+        if a.adj == b.adj:
+            raise InternalError(f"class {emit_graph6(a)} generated twice on {n} vertices")
+    return tuple(kept)
 
 
 atlas_graphs = enumerate_graphs  # the name the CLI and the benchmark call

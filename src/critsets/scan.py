@@ -6,10 +6,8 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
 from typing import NamedTuple
 
-from .coloring import canonical_colorings
 from .critical import CHECKS, four_params
 from .errors import Graph6Error
 from .graphs import Graph, emit_graph6, parse_graph6
@@ -36,6 +34,19 @@ class ScanReport(NamedTuple):
 
 
 def record_for_graph(g: Graph, graph6: str | None = None) -> GraphRecord:
+    """One `four_params` run's record of g.
+
+    Unique colorability (one chi-coloring up to palette permutation) is
+    read off that run, with no second enumeration:
+    - with no edge, g has one chi-coloring (n = 0 included): True;
+    - disconnected with an edge, False: chi >= 2, and a component of
+      chromatic number chi uses all chi colors, so the only palette
+      permutation that keeps its coloring is the identity.  Swapping two
+      colors on another component alone keeps the coloring proper and
+      changes it, so it gives a second palette orbit;
+    - connected, True iff T = 1, with T the palette orbits that
+      `four_params` counted (`ParamQuad.palette_orbits`).
+    """
     quad = four_params(g)
     chi = quad.witnesses["uscs"][0].k  # four_params colors with chi colors
     return GraphRecord(
@@ -43,7 +54,7 @@ def record_for_graph(g: Graph, graph6: str | None = None) -> GraphRecord:
         g.n,
         chi,
         quad.values(),
-        len(list(islice(canonical_colorings(g, chi), 2))) == 1,
+        not any(g.adj) or quad.palette_orbits == 1,
         quad.uniform_value(),
     )
 
@@ -72,12 +83,24 @@ def _worker(args: tuple[int, str]):
         return line_no, str(exc)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a mask set by `taskset` or a parent process leaves
+    out CPUs that `os.cpu_count` counts), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def walk_graph6_lines(lines, jobs: int = 1):
     """Yield (line number, `GraphRecord` or parse error message) for each
-    nonblank line, in input order, on min(jobs, CPU count) worker processes
-    when that is above 1."""
-    tasks = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
-    jobs = min(jobs, os.cpu_count() or 1)
+    nonblank line, in input order, on min(jobs, `_usable_cpus()`) worker
+    processes when that is above 1.  In process, `lines` is read one line
+    per record, so a file object is never held whole; a pool's feeder
+    thread reads ahead of its workers."""
+    stripped = ((i, line.strip()) for i, line in enumerate(lines, 1))
+    tasks = ((i, line) for i, line in stripped if line)
+    jobs = min(jobs, _usable_cpus())
     if jobs <= 1:
         yield from map(_worker, tasks)
         return
@@ -87,28 +110,35 @@ def walk_graph6_lines(lines, jobs: int = 1):
         yield from pool.imap(_worker, tasks, chunksize=16)
 
 
+def scan_records(lines, parse_errors: list, jobs: int = 1, progress=None):
+    """Yield the `GraphRecord` of each graph6 line in input order, even
+    when distributed over a pool.  Bad lines go to `parse_errors` as (line
+    number, message) and are skipped.  Every `progress` records (bad lines
+    do not count), one line goes to stderr."""
+    checked = 0
+    for line_no, rec in walk_graph6_lines(lines, jobs):
+        if isinstance(rec, str):
+            parse_errors.append((line_no, rec))
+            continue
+        yield rec
+        checked += 1
+        if progress and checked % progress == 0:
+            print(f"  scanned {checked} graphs", file=sys.stderr, flush=True)
+
+
 def scan_graph6_lines(
     lines,
     check: str,
     jobs: int = 1,
     progress=None,
 ) -> ScanReport:
-    """Run one implication check over graph6 lines.
-
-    Bad lines are recorded and skipped; record order follows input order
-    even when distributed over a pool.  Every `progress` records (bad
-    lines do not count), one line goes to stderr.
-    """
+    """Run one implication check over graph6 lines (`scan_records`),
+    keeping every record."""
     if check not in CHECKS:
         raise ValueError(f"check must be one of {CHECKS}")
     report = ScanReport(check, [], [], [])
-    for line_no, rec in walk_graph6_lines(lines, jobs):
-        if isinstance(rec, str):
-            report.parse_errors.append((line_no, rec))
-            continue
+    for rec in scan_records(lines, report.parse_errors, jobs, progress):
         report.records.append(rec)
         if not implication_holds(check, rec):
             report.counterexamples.append(rec)
-        if progress and report.checked % progress == 0:
-            print(f"  scanned {report.checked} graphs", file=sys.stderr, flush=True)
     return report

@@ -18,6 +18,7 @@ from critsets.graphs import (
     make_complete,
     make_cycle,
     make_empty,
+    make_path,
     parse_graph6,
 )
 from critsets.sudoku import canonical_board, format_board, mnc_exhaustive
@@ -267,6 +268,22 @@ def test_scan_csv_and_progress_bytes(capsys, tmp_path):
         "check=prop1 graphs=4 counterexamples=0 parse_errors=1\n"
         "  line 4: trailing characters after n=3 body (byte 2)\n")
     assert err == "  scanned 2 graphs\n  scanned 4 graphs\n"
+
+
+def test_scan_reads_and_writes_one_graph_at_a_time(capsys, tmp_path):
+    # the lines are read as records are made, and a CSV row is written as
+    # its record arrives: the rows before a graph over the search cap are
+    # out when that graph stops the scan
+    from critsets.scan import walk_graph6_lines
+
+    lines = iter(["Bw\n", "CN\n"])
+    assert next(walk_graph6_lines(lines))[0] == 1
+    assert next(lines) == "CN\n"
+    path = tmp_path / "big-third.g6"
+    path.write_text(f"Bw\nCN\n{emit_graph6(make_path(21))}\nDLs\n")
+    code, out, err = run_cli(capsys, "--format", "csv", "scan", str(path), "--check", "prop1")
+    assert code == 2 and err.startswith("size limit: ") and len(err.splitlines()) == 1
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["graph6", "Bw", "CN"]
 
 
 def test_scan_progress_counts_records_only(capsys, tmp_path):
@@ -565,10 +582,11 @@ def test_usage_errors_exit_1_with_one_line(capsys):
     assert capsys.readouterr().out.startswith("usage: critsets params")
 
 
-def test_scan_pool_is_capped_at_the_cpu_count(capsys, monkeypatch):
+def test_scan_pool_is_capped_at_the_usable_cpus(capsys, monkeypatch):
     # a fake pool records its size and maps in process, so no worker is
-    # started; --jobs above the CPU count gets one worker per CPU, and a
-    # count of 1 (or an unknown one) runs in process with no pool
+    # started; --jobs above the usable CPUs (the affinity mask, else the
+    # CPU count) gets one worker per CPU, and a count of 1 (or an unknown
+    # one) runs in process with no pool
     import multiprocessing
 
     from critsets.scan import walk_graph6_lines
@@ -591,6 +609,18 @@ def test_scan_pool_is_capped_at_the_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     lines = ["Bw\n", "\n", "C~\n", "not graph6\n"]
     serial = list(walk_graph6_lines(lines, 1))
+    # a mask of 3 CPUs out of 8: the mask counts
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 4, 6}, raising=False)
+    for jobs, pool in ((100000, [3]), (2, [2]), (1, [])):
+        del sizes[:]
+        assert list(walk_graph6_lines(lines, jobs)) == serial, jobs
+        assert sizes == pool, jobs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    del sizes[:]
+    assert list(walk_graph6_lines(iter(lines), 100000)) == serial and sizes == []
+    # with no affinity call the CPU count counts
+    monkeypatch.delattr(os, "sched_getaffinity")
     for cpus, jobs, pool in ((3, 100000, [3]), (3, 2, [2]), (1, 100000, []),
                              (None, 100000, []), (3, 1, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)

@@ -44,6 +44,7 @@ from critsets.graphs import (
     bits,
     cartesian_product,
     connected_components,
+    disjoint_union,
     enumerate_graphs,
     induced_subgraph,
     make_complete,
@@ -970,13 +971,29 @@ def test_paw_is_the_small_nonuniform_exception():
 
 
 def test_prop1_and_converse_on_small_atlas():
-    for n in range(6):
+    for n in range(7):
         for g in enumerate_graphs(n):
             rec = record_for_graph(g)
             assert rec.chi == chromatic_number(g)
             assert rec.uniquely_colorable == is_uniquely_colorable(g)
             assert implication_holds("prop1", rec)
             assert implication_holds("converse", rec)
+
+
+def test_record_reads_unique_colorability_off_four_params():
+    # the rule of record_for_graph against the definition on disconnected
+    # graphs with and without edges (the atlas classes are checked above);
+    # the palette-orbit count is kept at k = chi on connected graphs only
+    k2_k1 = disjoint_union(make_complete(2), make_empty(1))
+    two_k3 = disjoint_union(make_complete(3), make_complete(3))
+    for g, unique in ((k2_k1, False), (make_empty(2), True), (two_k3, False), (make_empty(0), True)):
+        assert record_for_graph(g).uniquely_colorable == is_uniquely_colorable(g) == unique, g.adj
+    assert four_params(make_complete(3)).palette_orbits == 1
+    c5 = make_cycle(5)
+    assert four_params(c5).palette_orbits == len(list(canonical_colorings(c5, 3))) > 1
+    assert four_params(two_k3).palette_orbits is None
+    for g in (make_complete(3), make_cycle(5), make_path(4), make_empty(1)):
+        assert four_params(g, k=chromatic_number(g) + 1).palette_orbits is None, g.adj
 
 
 def test_pendant_triangle_is_uniform_but_not_uniquely_colorable():

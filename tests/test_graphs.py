@@ -8,7 +8,7 @@ import pytest
 from conftest import is_automorphism
 from critsets.coloring import Coloring, _orbit_leaders, canonical_colorings
 from critsets.critical import ParamQuad
-from critsets.errors import Graph6Error, InvalidParameterError, SizeLimitError
+from critsets.errors import Graph6Error, InternalError, InvalidParameterError, SizeLimitError
 from critsets.graphs import (
     Graph,
     _augmentation_roots,
@@ -277,6 +277,28 @@ def test_enumeration_counts():
         enumerate_graphs(9)
     with pytest.raises(SizeLimitError):
         atlas_graphs(9)
+
+
+def test_atlas_is_every_labelled_graph_up_to_isomorphism():
+    # the definition: canonical forms of all 2^C(n,2) labelled graphs
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        forms = set()
+        for s in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if s >> i & 1]
+            forms.add(canonical_form(Graph.from_edges(n, edges)).adj)
+        assert [g.adj for g in enumerate_graphs(n)] == sorted(forms), n
+
+
+def test_duplicate_classes_raise(monkeypatch):
+    # with every augmentation candidate accepted, not only the one whose
+    # new vertex is its canonical deletion, a class arrives twice
+    monkeypatch.setattr("critsets.graphs._canonical_child", canonical_form)
+    try:
+        with pytest.raises(InternalError, match="generated twice"):
+            enumerate_graphs.__wrapped__(4)
+    finally:
+        enumerate_graphs.cache_clear()
 
 
 def test_pruned_augmentation_matches_unpruned():
