@@ -95,9 +95,11 @@ def _usable_cpus() -> int:
 def walk_graph6_lines(lines, jobs: int = 1):
     """Yield (line number, `GraphRecord` or parse error message) for each
     nonblank line, in input order, on min(jobs, `_usable_cpus()`) worker
-    processes when that is above 1.  In process, `lines` is read one line
-    per record, so a file object is never held whole; a pool's feeder
-    thread reads ahead of its workers."""
+    processes when that is above 1.  `lines` is read as records are asked
+    for: one line per record in process, and by a pool in chunks of 16
+    nonblank lines, with at most 2 x jobs chunks handed out beyond the one
+    whose records are being yielded, so a file object is never held
+    whole."""
     stripped = ((i, line.strip()) for i, line in enumerate(lines, 1))
     tasks = ((i, line) for i, line in stripped if line)
     jobs = min(jobs, _usable_cpus())
@@ -105,9 +107,17 @@ def walk_graph6_lines(lines, jobs: int = 1):
         yield from map(_worker, tasks)
         return
     import multiprocessing  # only pools pay its import time
+    from collections import deque
+    from itertools import islice
 
+    chunks = iter(lambda: list(islice(tasks, 16)), [])
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_worker, tasks, chunksize=16)
+        handed_out = (pool.map_async(_worker, chunk, len(chunk)) for chunk in chunks)
+        pending = deque(islice(handed_out, 2 * jobs))
+        while pending:
+            done = pending.popleft().get()
+            pending.extend(islice(handed_out, 1))
+            yield from done
 
 
 def scan_records(lines, parse_errors: list, jobs: int = 1, progress=None):

@@ -95,100 +95,81 @@ def _check_board(structure: SudokuStructure, board: Coloring):
         raise InvalidParameterError("board violates a row/column/box constraint")
 
 
-@lru_cache(maxsize=None)
-def _mirrored_steps(length: int) -> tuple[tuple[int, int, int], ...]:
-    """`_shuffle`'s steps on `length` items, (~i, bound i + 1, bits per
-    draw) per swap of x[i] with a drawn x[j], j <= i: with i counted from
-    the end as ~i (and j as ~j), the same swaps on a list kept in reverse."""
-    return tuple((~i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
-
-
-# free-color mask with two or more colors -> (its colors in descending
-# order, their mirrored steps), shared by all searches
-_MASK_COLORS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]] = {}
+# free-color mask with two or more colors -> its one-bit masks in
+# ascending order, shared by all searches
+_MASK_BITS: dict[int, tuple[int, ...]] = {}
 
 
 def _board_search(n: int, rng: random.Random) -> tuple[int, ...] | None:
-    """Backtracking board fill with rng-shuffled candidate orders; the
-    first board found, or None.  Cells are filled in index order from an
-    explicit stack, so no board size meets the recursion limit.
+    """Backtracking board fill with rng-drawn tries; the first board
+    found, or None.  Cells are filled in index order from an explicit
+    stack, so no board size meets the recursion limit.
 
-    Draw contract: a cell entered with two or more free colors orders
-    them as `rng.shuffle` orders their ascending list, with the same
-    `rng.getrandbits` draws, and tries them in that order.  A cell with one
-    free color takes it and one with none steps back at once; neither
-    draws, as shuffling a list of one or none draws nothing.  The rng is
-    touched nowhere else, so a seed gives the same board, and leaves the
-    rng in the same state, as a search that calls `rng.shuffle` on every
-    cell's ascending free colors.
+    Draw contract: a try at a cell with c >= 2 untried free colors takes
+    the `rng.randrange(c)`-th of them in ascending order, drawn as
+    `randrange` draws it (`rng.getrandbits(c.bit_length())`, redrawn while
+    it is c or more).  A try with one untried color takes it with no
+    draw, and a cell with none steps back.  The rng is touched nowhere
+    else, so a seed gives the same board, and leaves the rng in the same
+    state, as the recursive search that makes these tries.
 
-    The shuffle runs on the colors in descending order with the mirrored
-    steps, which leaves the shuffled list reversed, so popping from its
-    end gives the shuffled order.  Only a cell with colors left holds a
-    list in `untried`; the lists of cells past the current one are empty.
+    Drawing each try without replacement orders a visit's free colors
+    uniformly at random, as shuffling them on entry does (Knuth, TAOCP
+    Vol. 2, 3.4.2), and each visit draws afresh.  Depth-first search is
+    complete, so in both contracts the color that wins at a cell is
+    uniform among those that complete: the law over boards is that of a
+    shuffle on every cell entry; only the board a seed maps to differs.
+
+    Each filled cell holds its color as a one-bit mask and its untried
+    colors as one mask; the colors are decoded when the board is returned.
     """
     side = n * n
     cells = side * side
     full = (1 << side) - 1
     slots = _board_slots(n)
-    memo = _MASK_COLORS
+    memo = _MASK_BITS
     getrandbits = rng.getrandbits
     used = [0] * (3 * side)
-    colors = [0] * cells
-    untried: list[list[int]] = [[]] * cells  # next color last
+    colors = [0] * cells  # one-bit masks
+    untried = [0] * cells
     v = 0
+    r, c, b = slots[0]
+    left = full  # the untried colors of cell v
     while True:
-        while v < cells:
-            r, c, b = slots[v]
-            free = full & ~(used[r] | used[c] | used[b])
-            if free & (free - 1):
-                entry = memo.get(free)
-                if entry is None:
-                    cands = bits(free)[::-1]
-                    entry = memo[free] = (tuple(cands), _mirrored_steps(len(cands)))
-                cands = list(entry[0])
-                for i, m, nbits in entry[1]:
-                    j = getrandbits(nbits)
-                    while j >= m:
-                        j = getrandbits(nbits)
-                    j = ~j
-                    cands[i], cands[j] = cands[j], cands[i]
-                col = cands.pop()
-                untried[v] = cands
-            elif free:
-                col = free.bit_length() - 1
-            else:
-                break  # a dead end: step back
-            bit = 1 << col
-            used[r] |= bit
-            used[c] |= bit
-            used[b] |= bit
-            colors[v] = col
-            v += 1
+        if left & (left - 1):
+            tries = memo.get(left)
+            if tries is None:
+                tries = memo[left] = tuple(1 << col for col in bits(left))
+            m = len(tries)
+            k = m.bit_length()
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            bit = tries[j]
+        elif left:
+            bit = left
         else:
-            return tuple(colors)
-        # the deepest filled cell with an untried color takes it;
-        # exhausted cells are cleared on the way up
-        v -= 1
-        while v >= 0:
+            # a dead end: clear the cell before v and try its next color
+            v -= 1
+            if v < 0:
+                return None
             r, c, b = slots[v]
-            bit = 1 << colors[v]
+            bit = colors[v]
             used[r] ^= bit
             used[c] ^= bit
             used[b] ^= bit
-            cands = untried[v]
-            if cands:
-                col = cands.pop()
-                bit = 1 << col
-                used[r] |= bit
-                used[c] |= bit
-                used[b] |= bit
-                colors[v] = col
-                v += 1
-                break
-            v -= 1
-        else:
-            return None
+            left = untried[v]
+            continue
+        untried[v] = left ^ bit
+        used[r] |= bit
+        used[c] |= bit
+        used[b] |= bit
+        colors[v] = bit
+        v += 1
+        if v == cells:
+            return tuple([bit.bit_length() - 1 for bit in colors])
+        r, c, b = slots[v]
+        left = full & ~(used[r] | used[c] | used[b])
 
 
 @lru_cache(maxsize=None)
@@ -208,11 +189,13 @@ def random_board(n: int, rng: random.Random) -> Coloring:
     """A board found by randomized backtracking (seeded, not uniform).
 
     The rng's only use is `rng.getrandbits`, with exactly the draws of one
-    `rng.shuffle` of the ascending free colors per cell entry (see
-    `_board_search`): a cell with one free color or none draws nothing,
-    and the others pop their mirrored shuffle in `rng.shuffle`'s order.
-    So a board stream from one rng is fixed by its seed.
+    `rng.randrange(c)` per try at a cell with c >= 2 untried free colors
+    (see `_board_search`); a try with one color left draws nothing.  So a
+    board stream from one rng is fixed by its seed.  The law over boards
+    is that of a search that shuffles each cell's free colors on entry.
     """
+    if n < 1:
+        raise InvalidParameterError("box order must be at least 1")
     colors = _board_search(n, rng)
     if colors is None:
         raise InternalError("board search failed")
@@ -311,8 +294,11 @@ def trial_campaign(n: int, trials: int, seed: int = 0) -> TrialStats:
     """Run the thinning process across seeded random boards.
 
     Order 2 draws boards from the full enumeration; order 3 samples by
-    randomized backtracking.  Every output is certified determining; a
-    non-determining output raises InternalError.
+    randomized backtracking (`random_board`, one draw per try with two or
+    more colors left, the law of a shuffle on every cell entry).  One
+    master rng feeds each trial's board and then its thinning seed.  Every
+    board is validated by the thinning and every output certified
+    determining; a non-determining output raises InternalError.
     """
     check_trial_inputs(n, trials)
     structure = sudoku_graph(n)

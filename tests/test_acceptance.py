@@ -102,7 +102,7 @@ def test_c04_prop1_and_converse_up_to_seven_vertices():
 
 @pytest.mark.skipif(
     not os.environ.get("CRITSETS_N8_ATLAS"),
-    reason="optional flagged run (about a minute); set CRITSETS_N8_ATLAS=1",
+    reason="optional flagged run (6-7 s on 2 vCPUs); set CRITSETS_N8_ATLAS=1",
 )
 def test_c04_optional_eight_vertex_scan():
     lines = [emit_graph6(g) for g in enumerate_graphs(8)]

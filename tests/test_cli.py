@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +23,7 @@ from critsets.graphs import (
     make_path,
     parse_graph6,
 )
+from critsets.scan import _usable_cpus, walk_graph6_lines
 from critsets.sudoku import canonical_board, format_board, mnc_exhaustive
 
 
@@ -582,6 +585,31 @@ def test_usage_errors_exit_1_with_one_line(capsys):
     assert capsys.readouterr().out.startswith("usage: critsets params")
 
 
+@pytest.mark.skipif(_usable_cpus() < 2, reason="a pool of 2 needs 2 usable CPUs")
+def test_parallel_scan_reads_a_bounded_number_of_lines_ahead():
+    # a pool of 2 holds at most 4 chunks of 16 lines beyond the one being
+    # yielded, however long the consumer waits; records keep input order,
+    # and a consumer that stops early closes the pool
+    import multiprocessing
+
+    pulled = 0
+
+    def lines():
+        nonlocal pulled
+        for _ in range(5000):
+            pulled += 1
+            yield "Bw\n"
+
+    walk = walk_graph6_lines(lines(), 2)
+    assert next(walk)[0] == 1
+    time.sleep(0.3)  # a feeder thread would read ahead meanwhile
+    assert pulled <= 5 * 16
+    assert [next(walk)[0] for _ in range(99)] == list(range(2, 101))
+    assert pulled <= 100 + 5 * 16
+    walk.close()
+    assert not multiprocessing.active_children()
+
+
 def test_scan_pool_is_capped_at_the_usable_cpus(capsys, monkeypatch):
     # a fake pool records its size and maps in process, so no worker is
     # started; --jobs above the usable CPUs (the affinity mask, else the
@@ -603,8 +631,9 @@ def test_scan_pool_is_capped_at_the_usable_cpus(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, func, tasks, chunksize=1):
-            return map(func, tasks)
+        def map_async(self, func, tasks, chunksize=None):
+            results = list(map(func, tasks))
+            return SimpleNamespace(get=lambda: results)
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     lines = ["Bw\n", "\n", "C~\n", "not graph6\n"]
